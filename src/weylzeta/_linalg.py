@@ -1,125 +1,54 @@
-"""Small exact linear algebra over the rationals.
+"""Exact linear algebra from one fraction-free elimination.
 
-Everything here works on sequences of Fractions (or ints) and stays exact;
-matrices are lists of row tuples.  Sizes are tiny (rank at most 8 plus an
-ambient dimension of at most 8), so plain Gaussian elimination is fine.
+`echelon` is fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
+22, 1968) on integer rows.  A row of Fractions is first scaled to integers
+by the lcm of its denominators, which keeps its span.  Every division in the
+pass is exact, and all pivots of the result share one value d, so what the
+callers need is read off in integers:
+
+- the rank is the number of pivots;
+- `annihilator` gives one integer vector of {x : A x = 0} per free column;
+- for a square invertible A, eliminating [A | I] leaves [d I | d A^-1].
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 
-class SpanBasis:
-    """Incremental row-echelon basis of a subspace of Q^dim."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[tuple[Fraction, ...]] = []
-        self.pivots: list[int] = []
-
-    def _reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                c = v[p]
-                for i in range(p, self.dim):
-                    v[i] -= c * row[i]
-        return v
-
-    def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
-
-    def add(self, vec) -> bool:
-        """Add vec to the span; returns True if the rank grew."""
-        v = self._reduce(vec)
-        for p in range(self.dim):
-            if v[p]:
-                inv = 1 / v[p]
-                self.rows.append(tuple(x * inv for x in v))
-                self.pivots.append(p)
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    basis = SpanBasis(len(rows[0]))
-    for r in rows:
-        basis.add(r)
-    return basis.rank
-
-
-def solve(rows, rhs):
-    """Solve A x = b exactly for A with full column rank.
-
-    rows: m rows of length n, rhs: length m.  Returns the unique solution as a
-    list of Fractions, or None if the system is inconsistent.  Raises if the
-    columns are dependent (no use site produces that).
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivot_rows = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("coefficient matrix does not have full column rank")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[r])]
-        pivot_rows.append(col)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivot_rows):
-        x[col] = aug[i][n]
-    return x
-
-
-def nullspace(rows, n):
-    """Basis of {x in Q^n : A x = 0} for A given by rows of length n."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    m = len(mat)
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if mat[i][col]), None)
-        if piv is None:
+def echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Nonzero rows and pivot columns of the fraction-free reduced form."""
+    mat = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [x - c * y for x, y in zip(mat[i], mat[r])]
-        piv_of_col[col] = r
-        r += 1
+        mat[r], mat[p] = mat[p], mat[r]
+        top, piv = mat[r], mat[r][c]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[c]
+                mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = piv
+        pivots.append(c)
+    return mat[: len(pivots)], pivots
+
+
+def annihilator(rows, n: int) -> list[tuple[int, ...]]:
+    """Integer basis of {x in Q^n : A x = 0} for A given by rows of length n."""
+    reduced, pivots = echelon(rows)
+    d = reduced[0][pivots[0]] if pivots else 1
     basis = []
-    free = [c for c in range(n) if c not in piv_of_col]
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for col, row in piv_of_col.items():
-            v[col] = -mat[row][fc]
+    for free in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[free] = d
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[free]
         basis.append(tuple(v))
     return basis
-
-
-def nullspace_dim(rows, n) -> int:
-    return n - rank(rows) if rows else n

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._linalg import SpanBasis, nullspace, rank
+from ._linalg import annihilator, echelon
 from .rootsys import FamilyRank, RootSystem, Subsystem, build
 
 # Exhaustive search is limited to systems no larger than F4.
@@ -144,31 +144,34 @@ def _full_subsystem_masks(system: RootSystem) -> list[int]:
     Breadth-first over subspaces spanned by roots, one dimension at a
     time.  A subspace spanned by roots is spanned by the roots it
     contains, so the mask determines the subspace and dedup is sound.
-    Simple-root coordinates keep the elimination small.
+    A root lies in a subspace iff it pairs to zero with every vector of
+    the subspace's integer annihilator.  Roots that one extension of a
+    mask already swept in would give that extension again, so they are
+    skipped.  Simple-root coordinates keep the elimination small.
     """
     pos = system.root_coords
     m = len(pos)
     dim = system.rank
     found = {0}
-    frontier: list[tuple[int, SpanBasis]] = [(0, SpanBasis(dim))]
+    frontier: list[tuple[int, list[tuple[int, ...]]]] = [(0, [])]
     while frontier:
-        grown: list[tuple[int, SpanBasis]] = []
-        for mask, basis in frontier:
+        grown = []
+        for mask, gens in frontier:
+            covered = mask
             for i in range(m):
-                if mask >> i & 1:
+                if covered >> i & 1:
                     continue
-                bigger = SpanBasis(dim)
-                for row in basis.rows:
-                    bigger.add(row)
-                if not bigger.add(pos[i]):
-                    continue
+                # pos[i] lies outside span(gens), which mask exhausts
+                span = gens + [pos[i]]
+                forms = annihilator(span, dim)
                 ext = 0
-                for j in range(m):
-                    if bigger.contains(pos[j]):
+                for j, root in enumerate(pos):
+                    if not any(sum(f * x for f, x in zip(form, root)) for form in forms):
                         ext |= 1 << j
+                covered |= ext
                 if ext not in found:
                     found.add(ext)
-                    grown.append((ext, bigger))
+                    grown.append((ext, span))
         frontier = grown
     return sorted(found)
 
@@ -243,11 +246,10 @@ def coxeter_bound(system: RootSystem, sub: Subsystem) -> Fraction:
     """
     if sub.parent is not system:
         raise ValueError("subsystem does not belong to this root system")
-    rows = [list(v) for v in sub.positive_vectors()]
-    if rank(rows) != system.rank - 1:
+    rows = sub.positive_vectors()
+    if len(echelon(rows)[1]) != system.rank - 1:
         raise ValueError("subsystem must span a hyperplane of the root space")
-    dim = len(system.positive_roots[0])
-    candidates = nullspace(rows, dim)
+    candidates = annihilator(rows, system.ambient_dim)
     outside = [
         system.positive_roots[i]
         for i in range(system.num_positive)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rootsys import FamilyRank, RootSystem, build
+from .rootsys import FamilyRank, RootSystem, build, in_root_lattice
 
 Weight = tuple[int, ...]
 
@@ -102,9 +102,12 @@ class GroupSpec:
         kind = m.group("kind") or "sc"
         if kind.startswith("cosets"):
             body = m.group("body")
-            vecs = tuple(
-                tuple(Fraction(c) for c in vec.split(",")) for vec in body.split(";")
-            )
+            try:
+                vecs = tuple(
+                    tuple(Fraction(c) for c in vec.split(",")) for vec in body.split(";")
+                )
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in cosets[{body}]") from None
             return cls(factors, "cosets", vecs)
         return cls(factors, kind)
 
@@ -130,7 +133,8 @@ def dim_irrep(R: RootSystem, lam) -> int:
     for coroot in R.coroots:
         num *= sum(c * w for c, w in zip(coroot, shifted) if c)
     q, r = divmod(num, _delta(R.id))
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"{R.id} Weyl product of {lam} is not divisible by Delta")
     return q
 
 
@@ -147,11 +151,12 @@ def in_lattice(spec: GroupSpec, lam) -> bool:
     """True iff lam lies in the group's weight lattice."""
     if spec.kind == "sc":
         return True
-    frac = []
-    for fr, (a, b) in zip(spec.factors, spec.slices()):
-        frac.extend(x % 1 for x in build(fr).root_basis_coords(lam[a:b]))
+    pieces = [(build(fr), lam[a:b]) for fr, (a, b) in zip(spec.factors, spec.slices())]
     if spec.kind == "adjoint":
-        return not any(frac)
+        return all(in_root_lattice(system, piece) for system, piece in pieces)
+    frac = []
+    for system, piece in pieces:
+        frac.extend(x % 1 for x in system.root_basis_coords(piece))
     return tuple(frac) in spec.cosets
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import SpanBasis, nullspace, rank, solve
+from ._linalg import echelon
 
 Vector = tuple[Fraction, ...]
 Weight = tuple[int, ...]
@@ -176,7 +176,6 @@ class RootSystem:
         self.positive_roots: tuple[Vector, ...] = tuple(v for v, _ in generated)
         self.root_coords: tuple[tuple[int, ...], ...] = tuple(c for _, c in generated)
         self._pos_index = {v: i for i, v in enumerate(self.positive_roots)}
-        self._norms = tuple(_dot(v, v) for v in self.positive_roots)
 
         # cartan[i][j] = 2(alpha_i, alpha_j) / (alpha_j, alpha_j)
         snorms = [_dot(s, s) for s in simples]
@@ -185,44 +184,33 @@ class RootSystem:
             for a in simples
         )
 
-        # coroot of each positive root in the basis of simple coroots
-        simple_coroots = [
-            tuple(2 * x / snorms[i] for x in s) for i, s in enumerate(simples)
-        ]
-        cols = [
-            [simple_coroots[j][r] for j in range(n)] for r in range(self.ambient_dim)
-        ]
+        # beta = sum c_i alpha_i has coroot coordinates c_i |alpha_i|^2 / |beta|^2
         coroots = []
-        for v, nrm in zip(self.positive_roots, self._norms):
-            target = [2 * x / nrm for x in v]
-            sol = solve(cols, target)
-            assert sol is not None and all(c.denominator == 1 and c >= 0 for c in sol)
-            coroots.append(tuple(int(c) for c in sol))
+        for v, coords in zip(self.positive_roots, self.root_coords):
+            nrm = _dot(v, v)
+            parts = [divmod(c * s, nrm) for c, s in zip(coords, snorms)]
+            if any(r or q < 0 for q, r in parts):
+                raise ArithmeticError(f"coroot of {coords} is not nonnegative integral")
+            coroots.append(tuple(q for q, _ in parts))
         self.coroots: tuple[tuple[int, ...], ...] = tuple(coroots)
 
-        # fundamental weights inside span(R): solve C^T y = e_i in simple-root basis
-        ct_rows = [
-            [Fraction(self.cartan_matrix[k][j]) for k in range(n)] for j in range(n)
+        # eliminating [C^T | I] leaves [d I | d C^-T], d = det C; C^-T takes a
+        # weight to its simple-root coordinates
+        cartan_t = [
+            [self.cartan_matrix[k][j] for k in range(n)] + [int(i == j) for i in range(n)]
+            for j in range(n)
         ]
-        fw = []
-        for i in range(n):
-            y = solve(ct_rows, [Fraction(1 if j == i else 0) for j in range(n)])
-            vec = tuple(
-                sum((y[k] * simples[k][r] for k in range(n)), Fraction(0))
+        reduced, _ = echelon(cartan_t)
+        d = self._cartan_det = reduced[0][0]
+        num = self._inv_cartan_t_num = tuple(tuple(row[n:]) for row in reduced)
+        self.fundamental_weights: tuple[Vector, ...] = tuple(
+            tuple(
+                sum((num[k][i] * simples[k][r] for k in range(n)), Fraction(0)) / d
                 for r in range(self.ambient_dim)
             )
-            fw.append(vec)
-        self.fundamental_weights: tuple[Vector, ...] = tuple(fw)
-        self.rho: Weight = (1,) * n
-
-        inv_ct = [
-            solve(ct_rows, [Fraction(1 if j == i else 0) for j in range(n)])
             for i in range(n)
-        ]
-        # x = inv_ct @ lambda gives simple-root coordinates of a weight
-        self._inv_cartan_t = tuple(
-            tuple(inv_ct[j][i] for j in range(n)) for i in range(n)
         )
+        self.rho: Weight = (1,) * n
 
     # -- basic accessors ---------------------------------------------------
 
@@ -261,12 +249,16 @@ class RootSystem:
                     vec[r] += c * w[r]
         return tuple(vec)
 
+    def root_basis_numerators(self, lam) -> tuple[int, ...]:
+        """det(C) times the coordinates of a weight in the simple-root basis."""
+        return tuple(
+            sum(x * c for x, c in zip(row, lam)) for row in self._inv_cartan_t_num
+        )
+
     def root_basis_coords(self, lam) -> tuple[Fraction, ...]:
         """Coordinates of a weight in the simple-root basis."""
-        return tuple(
-            sum((row[j] * Fraction(lam[j]) for j in range(self.rank)), Fraction(0))
-            for row in self._inv_cartan_t
-        )
+        d = self._cartan_det
+        return tuple(Fraction(x, d) for x in self.root_basis_numerators(lam))
 
     def is_root(self, vec: Vector) -> bool:
         return vec in self._pos_index or tuple(-x for x in vec) in self._pos_index
@@ -285,10 +277,6 @@ def build(fr) -> RootSystem:
     if isinstance(fr, str):
         fr = FamilyRank.parse(fr)
     return _build(fr)
-
-
-def pair(system: RootSystem, alpha_index: int, lam) -> int:
-    return system.pair(alpha_index, lam)
 
 
 # -- Weyl group action -----------------------------------------------------
@@ -335,7 +323,8 @@ def weyl_orbit_equal(system: RootSystem, v1, v2) -> bool:
 
 def in_root_lattice(system: RootSystem, v) -> bool:
     """True iff the weight v is an integer combination of roots."""
-    return all(c.denominator == 1 for c in system.root_basis_coords(v))
+    d = system._cartan_det
+    return all(x % d == 0 for x in system.root_basis_numerators(v))
 
 
 # -- subsystems ------------------------------------------------------------
@@ -505,28 +494,23 @@ def quadratic_nullspace_dim(system: RootSystem) -> int:
     """
     n = system.rank
     unknowns = [(i, j) for i in range(n) for j in range(i, n)]
-    rows = []
-    for coords in system.root_coords:
-        row = []
-        for i, j in unknowns:
-            row.append(
-                Fraction(coords[i] * coords[j] if i == j else 2 * coords[i] * coords[j])
-            )
-        rows.append(row)
-    return len(unknowns) - rank(rows)
+    rows = [
+        [c[i] * c[j] if i == j else 2 * c[i] * c[j] for i, j in unknowns]
+        for c in system.root_coords
+    ]
+    return len(unknowns) - len(echelon(rows)[1])
 
 
 def spanning_check(system: RootSystem) -> bool:
     """For every root a, the roots not orthogonal to a span the whole space."""
-    n = system.rank
-    for i in range(system.num_positive):
-        coroot = system.coroots[i]
-        basis = SpanBasis(n)
-        for coords, fund in zip(system.root_coords, _root_fundamentals(system)):
-            if sum(c * f for c, f in zip(coroot, fund)) != 0:
-                if basis.add(coords) and basis.rank == n:
-                    break
-        if basis.rank < n:
+    fundamentals = _root_fundamentals(system)
+    for coroot in system.coroots:
+        rows = [
+            coords
+            for coords, fund in zip(system.root_coords, fundamentals)
+            if sum(c * f for c, f in zip(coroot, fund)) != 0
+        ]
+        if len(echelon(rows)[1]) < system.rank:
             return False
     return True
 

@@ -76,6 +76,12 @@ def test_zeta_rejects_bad_group(capsys):
     assert "error" in err
 
 
+def test_zeta_rejects_zero_denominator_coset(capsys):
+    code, _, err = run(capsys, "zeta", "--group", "A1:cosets[1/0]", "--max-dim", "10")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_zeta_rejects_nonpositive_bound(capsys):
     code, _, _ = run(capsys, "zeta", "--group", "A1:sc", "--max-dim", "0")
     assert code == 2

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from weylzeta.efficiency import (
+    _full_subsystem_masks,
     compare,
     coxeter_bound,
     eff_bruteforce,
@@ -130,6 +131,13 @@ BRUTE_WITNESS = {
     "G2": [["A1"]],
     "F4": [["B3"], ["C3"]],
 }
+
+
+@pytest.mark.parametrize("name,count", [
+    ("G2", 8), ("B3", 24), ("A4", 52), ("D4", 72), ("C4", 116), ("B4", 116), ("F4", 268),
+])
+def test_full_subsystem_counts(name, count):
+    assert len(_full_subsystem_masks(build(name))) == count
 
 
 @pytest.mark.parametrize("name", sorted(BRUTE_WITNESS))

@@ -132,6 +132,14 @@ def test_fundamental_weights_dual_to_coroots(fr):
             assert system.pair(i, lam) == (1 if j == k else 0)
 
 
+@pytest.mark.parametrize("fr", all_types(8), ids=str)
+def test_root_basis_coords_invert_cartan(fr):
+    system = build(fr)
+    for i, coords in enumerate(system.root_coords):
+        assert system.root_basis_coords(system.root_fundamental(i)) == coords
+        assert in_root_lattice(system, system.root_fundamental(i))
+
+
 def test_highest_root_is_last():
     # ordering is by height, so the final positive root is the highest one
     assert build("G2").root_coords[-1] == (3, 2)
