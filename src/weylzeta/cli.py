@@ -69,21 +69,25 @@ def _cache_path(directory: Path, canonical: str, variant: str) -> Path:
 
 def _cached_table(spec: GroupSpec, variant: str, bound: int,
                   directory: Path | None) -> DegreeTable:
-    canonical = spec.canonical()
-    if directory is not None and directory.is_dir():
-        for path in sorted(directory.glob("*.tsv")):
-            try:
-                table = DegreeTable.from_text(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if (table.group == canonical and table.variant == variant
-                    and table.bound >= bound):
-                return table.truncated(bound)
     fn = zeta_coefficients if variant == "zeta" else zeta_star_coefficients
+    if directory is None:
+        return fn(spec, bound)
+    canonical = spec.canonical()
+    path = _cache_path(directory, canonical, variant)
+    try:
+        table = DegreeTable.from_text(path.read_text())
+    except (OSError, ValueError):
+        pass
+    else:
+        if (table.group == canonical and table.variant == variant
+                and table.bound >= bound):
+            return table.truncated(bound)
     table = fn(spec, bound)
-    if directory is not None:
-        directory.mkdir(parents=True, exist_ok=True)
-        _cache_path(directory, canonical, variant).write_text(table.to_text())
+    # write beside the target and rename, so no reader sees half a table
+    directory.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(table.to_text())
+    os.replace(tmp, path)
     return table
 
 

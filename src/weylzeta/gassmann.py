@@ -4,11 +4,13 @@ An irreducible representation of SU(2)^n with highest weight
 (a_1, ..., a_n) has dimension prod(a_i + 1) and acts on the center
 F_2^n through the parities of the a_i, so the degree counts of a
 quotient by a central subgroup are Dirichlet-series coefficients
-summed over the center characters that survive.  Starting from an
-integer trace function on F_2^3 this module builds two embeddings of
-F_2^3 into F_2^n whose annihilators give quotients with identical
-counts at every dimension, while no permutation of the n factors
-carries one annihilator to the other.
+summed over the center characters that survive.  They come from
+repdegrees.graded_product, the one combiner behind every spectrum,
+fed the SU(2) degrees split by parity.  Starting from an integer
+trace function on F_2^3 this module builds two embeddings of F_2^3
+into F_2^n whose annihilators give quotients with identical counts at
+every dimension, while no permutation of the n factors carries one
+annihilator to the other.
 
 Elements of F_2^3 and its dual are both encoded as 3-bit integers;
 the pairing is the parity of the AND.
@@ -18,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
-from .repdegrees import DegreeTable
+from .repdegrees import DegreeTable, graded_product
+from .rootsys import ensure
 
 _SPACE = range(8)
 
@@ -71,7 +75,7 @@ def fourier_multiplicities(f: TraceFunction) -> dict[int, int]:
             f.values[x] * (1 - 2 * _dot(y, x)) for x in _SPACE
         )
         q, r = divmod(total, 8)
-        assert r == 0 and q >= 0, "valid trace functions invert cleanly"
+        ensure(r == 0 and q >= 0, "valid trace functions invert cleanly")
         out[y] = q
     return out
 
@@ -86,9 +90,7 @@ class SignHom:
 
     def weight(self, x: int) -> int:
         """Hamming weight of the image of x."""
-        return sum(
-            m * _dot(y, x) for y, m in self.multiplicities.items()
-        )
+        return self.image_bits(x).bit_count()
 
     def image_bits(self, x: int) -> int:
         """The image of x in F_2^n packed into an integer, coordinate j at bit j."""
@@ -96,22 +98,6 @@ class SignHom:
         for j, y in enumerate(self.functionals):
             bits |= _dot(y, x) << j
         return bits
-
-    def profile(self, x: int) -> "ParityProfile":
-        w = self.weight(x)
-        return ParityProfile(w, self.n - w)
-
-
-@dataclass(frozen=True)
-class ParityProfile:
-    """Coordinate counts constrained to odd (O) and even (E) dimensions."""
-
-    O: int
-    E: int
-
-    def __post_init__(self):
-        if self.O < 0 or self.E < 0:
-            raise ValueError("profile counts must be nonnegative")
 
 
 def build_sign_hom(f: TraceFunction) -> SignHom:
@@ -125,10 +111,10 @@ def build_sign_hom(f: TraceFunction) -> SignHom:
     n = f.values[0]
     functionals = tuple(y for y in _SPACE for _ in range(mult[y]))
     hom = SignHom(n, functionals, mult)
-    assert len(functionals) == n
-    assert _spans_dual(mult), "injective trace functions span the dual"
+    ensure(len(functionals) == n, "multiplicities sum to f(0)")
+    ensure(_spans_dual(mult), "injective trace functions span the dual")
     for x in _SPACE:
-        assert n - 2 * hom.weight(x) == f.values[x]
+        ensure(n - 2 * hom.weight(x) == f.values[x], f"image weight of {x}")
     return hom
 
 
@@ -148,23 +134,13 @@ def _spans_dual(mult: dict[int, int]) -> bool:
 @lru_cache(maxsize=1)
 def _gl3_tables() -> tuple[tuple[int, ...], ...]:
     """Action tables of all 168 invertible linear maps on F_2^3."""
-    tables = []
-    for c1 in range(1, 8):
-        for c2 in range(1, 8):
-            if c2 == c1:
-                continue
-            for c3 in range(1, 8):
-                if c3 in (c1, c2, c1 ^ c2):
-                    continue
-                cols = (c1, c2, c3)
-                tab = tuple(
-                    (cols[0] if x & 1 else 0)
-                    ^ (cols[1] if x & 2 else 0)
-                    ^ (cols[2] if x & 4 else 0)
-                    for x in _SPACE
-                )
-                tables.append(tab)
-    assert len(tables) == 168
+    tables = [
+        tuple((c1 if x & 1 else 0) ^ (c2 if x & 2 else 0) ^ (c3 if x & 4 else 0)
+              for x in _SPACE)
+        for c1, c2, c3 in permutations(range(1, 8), 3)
+        if c3 != c1 ^ c2
+    ]
+    ensure(len(tables) == 168, "GL(3, 2) has 168 elements")
     return tuple(tables)
 
 
@@ -189,37 +165,17 @@ def twist(f: TraceFunction, pi) -> TraceFunction:
         seen.add(k)
     if seen != set(range(1, 8)) or len(set(tab[1:])) != 7:
         raise ValueError("not a permutation of the nonzero elements")
-    for lin in _gl3_tables():
-        if lin == tuple(tab):
-            raise ValueError("permutation is a linear map; twist would be equivalent")
+    if tuple(tab) in _gl3_tables():
+        raise ValueError("permutation is a linear map; twist would be equivalent")
     return build_trace(tuple(f.values[tab[x]] for x in _SPACE))
 
 
 # -- Dirichlet series machinery ---------------------------------------------
 
 
-def _dirichlet_mul(a: list[int], b: list[int], bound: int) -> list[int]:
-    out = [0] * (bound + 1)
-    for i in range(1, bound + 1):
-        if a[i]:
-            ai = a[i]
-            for j in range(1, bound // i + 1):
-                if b[j]:
-                    out[i * j] += ai * b[j]
-    return out
-
-
-def _dirichlet_pow(base: list[int], k: int, bound: int) -> list[int]:
-    result = [0] * (bound + 1)
-    result[1] = 1
-    sq = base
-    while k:
-        if k & 1:
-            result = _dirichlet_mul(result, sq, bound)
-        k >>= 1
-        if k:
-            sq = _dirichlet_mul(sq, sq, bound)
-    return result
+def _parity_series(bound: int) -> dict[int, dict[int, int]]:
+    """SU(2) degrees by center class: 0 holds the odd ones, 1 the even."""
+    return {c: dict.fromkeys(range(1 + c, bound + 1, 2), 1) for c in (0, 1)}
 
 
 def dirichlet_coeffs(O: int, E: int, bound: int) -> list[int]:
@@ -234,14 +190,10 @@ def dirichlet_coeffs(O: int, E: int, bound: int) -> list[int]:
         raise ValueError("factor counts must be nonnegative")
     if bound < 1:
         raise ValueError("bound must be positive")
-    if O and 2 ** O > bound:
-        return [0] * (bound + 1)
-    even = [1 if d > 0 and d % 2 == 0 else 0 for d in range(bound + 1)]
-    odd = [1 if d % 2 else 0 for d in range(bound + 1)]
-    odd[0] = 0
-    return _dirichlet_mul(
-        _dirichlet_pow(even, O, bound), _dirichlet_pow(odd, E, bound), bound
+    counts = graded_product(
+        (0,) * (O + E), {0: _parity_series(bound)}, [(1,) * O + (0,) * E], bound
     )
+    return [counts.get(d, 0) for d in range(bound + 1)]
 
 
 def group_string(hom: SignHom) -> str:
@@ -257,13 +209,8 @@ def quotient_zeta(hom: SignHom, bound: int) -> DegreeTable:
     parity vector lies in the image of the embedding, so the counts are
     summed factorization counts over the 8 image characters.
     """
-    counts: dict[int, int] = {}
-    for x in _SPACE:
-        prof = hom.profile(x)
-        coeffs = dirichlet_coeffs(prof.O, prof.E, bound)
-        for d in range(1, bound + 1):
-            if coeffs[d]:
-                counts[d] = counts.get(d, 0) + coeffs[d]
+    characters = [tuple(_dot(y, x) for y in hom.functionals) for x in _SPACE]
+    counts = graded_product((0,) * hom.n, {0: _parity_series(bound)}, characters, bound)
     return DegreeTable(group_string(hom), "zeta", bound, counts)
 
 

@@ -4,17 +4,23 @@ A group is a product of irreducible factors together with a weight lattice
 between the root lattice and the full weight lattice of the product.  All
 dimension arithmetic is exact big-integer work; spectra are tables counting
 irreducible representations by dimension up to a bound.
+
+Spectra come from one combiner, graded_product: each factor's degrees are
+counted once per center class (the class of the highest weight modulo the
+root lattice), and the spectrum of the group is the sum, over the class
+tuples its lattice allows, of the Dirichlet products of those series.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .rootsys import FamilyRank, RootSystem, build, in_root_lattice
+from .rootsys import FamilyRank, RootSystem, build
 
 Weight = tuple[int, ...]
 
@@ -147,17 +153,28 @@ def dim_irrep_product(spec: GroupSpec, lam) -> int:
     return out
 
 
+def _class_of(system: RootSystem, w, kind: str) -> tuple[int, ...]:
+    return () if kind == "sc" else system.center_class(w)
+
+
+@lru_cache(maxsize=None)
+def _allowed_classes(spec: GroupSpec) -> frozenset:
+    """The class tuples, one center class per factor, in the group's lattice."""
+    systems = [build(fr) for fr in spec.factors]
+    if spec.kind != "cosets":
+        return frozenset([tuple(_class_of(s, (0,) * s.rank, spec.kind) for s in systems)])
+    return frozenset(
+        tuple(tuple(int(x * s.cartan_det) for x in v[a:b])
+              for s, (a, b) in zip(systems, spec.slices()))
+        for v in spec.cosets
+    )
+
+
 def in_lattice(spec: GroupSpec, lam) -> bool:
     """True iff lam lies in the group's weight lattice."""
-    if spec.kind == "sc":
-        return True
-    pieces = [(build(fr), lam[a:b]) for fr, (a, b) in zip(spec.factors, spec.slices())]
-    if spec.kind == "adjoint":
-        return all(in_root_lattice(system, piece) for system, piece in pieces)
-    frac = []
-    for system, piece in pieces:
-        frac.extend(x % 1 for x in system.root_basis_coords(piece))
-    return tuple(frac) in spec.cosets
+    classes = tuple(_class_of(build(fr), lam[a:b], spec.kind)
+                    for fr, (a, b) in zip(spec.factors, spec.slices()))
+    return classes in _allowed_classes(spec)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -251,19 +268,19 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def allowable(spec: GroupSpec, lam) -> bool:
-    """True iff no factor of lam can be stripped at a prime = 1 mod N.
+def _stripped(w, N: int) -> bool:
+    """True iff a prime = 1 mod N divides every coordinate of w + rho.
 
-    Only primes dividing the coordinate gcd of a factor's shifted weight can
-    fail the divisibility test, so the check is finite.
+    Only primes dividing the coordinate gcd can, and such a prime exceeds N.
     """
+    g = math.gcd(*(c + 1 for c in w))
+    return g > N and any(p % N == 1 for p in _prime_divisors(g))
+
+
+def allowable(spec: GroupSpec, lam) -> bool:
+    """True iff no factor of lam can be stripped at a prime = 1 mod N."""
     N = N_of(spec)
-    for a, b in spec.slices():
-        g = math.gcd(*(c + 1 for c in lam[a:b]))
-        for p in _prime_divisors(g):
-            if p % N == 1:
-                return False
-    return True
+    return not any(_stripped(lam[a:b], N) for a, b in spec.slices())
 
 
 # -- spectra ---------------------------------------------------------------
@@ -312,52 +329,87 @@ class DegreeTable:
         )
 
 
+# -- center-graded Dirichlet convolution -----------------------------------
+
+Series = dict[int, int]  # dimension -> count, zero counts omitted
+
+
+def _dirichlet_mul(a: Series, b: Series, bound: int) -> Series:
+    out = [0] * (bound + 1)
+    b_items = sorted(b.items())
+    for i, ai in a.items():
+        limit = bound // i
+        for j, bj in b_items:
+            if j > limit:
+                break
+            out[i * j] += ai * bj
+    return {d: c for d, c in enumerate(out) if c}
+
+
+def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
+    """base ** k for k >= 1, squaring from the top bit down (only O(bound) alive)."""
+    result = base
+    for bit in bin(k)[3:]:
+        result = _dirichlet_mul(result, result, bound)
+        if bit == "1":
+            result = _dirichlet_mul(result, base, bound)
+    return result
+
+
+def graded_product(factors, graded, tuples, bound: int) -> Series:
+    """Sum over class tuples of the Dirichlet product of the factors' series.
+
+    factors holds one key per factor, graded[key] maps a center class to
+    that factor's series, and each of tuples names one class per factor.
+    Equal (factor, class) pairs are raised to a power; a tuple is skipped
+    when even its smallest degree, the product of the least dimensions,
+    exceeds the bound.
+    """
+    total: Counter = Counter()
+    for classes in tuples:
+        groups = Counter(zip(factors, classes)).items()
+        parts = [(graded[key].get(c), k) for (key, c), k in groups]
+        if not all(s for s, _ in parts) or math.prod(min(s) ** k for s, k in parts) > bound:
+            continue
+        powers = [_dirichlet_pow(s, k, bound) for s, k in parts] or [{1: 1}]
+        total.update(reduce(lambda a, b: _dirichlet_mul(a, b, bound), powers))
+    return dict(total)
+
+
+def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
+    """Degree counts up to D; star keeps the weights no prime = 1 mod N strips.
+
+    Each distinct factor's weights are counted once, by center class.
+    """
+    N = N_of(spec) if star else None
+    graded: dict[FamilyRank, dict[tuple, Series]] = {}
+    for fr in set(spec.factors):
+        system, by_class = build(fr), graded.setdefault(fr, {})
+        for d, w in _factor_spectrum(fr, D):
+            if N is None or not _stripped(w, N):
+                by_class.setdefault(_class_of(system, w, spec.kind), Counter())[d] += 1
+    return graded_product(spec.factors, graded, _allowed_classes(spec), D)
+
+
 def zeta_coefficients(spec: GroupSpec, D: int) -> DegreeTable:
-    counts: dict[int, int] = {}
-    for _, d in enumerate_dominant(spec, D):
-        counts[d] = counts.get(d, 0) + 1
-    return DegreeTable(spec.canonical(), "zeta", D, counts)
+    return DegreeTable(spec.canonical(), "zeta", D, _spectrum(spec, D, star=False))
 
 
 def zeta_star_coefficients(spec: GroupSpec, D: int) -> DegreeTable:
-    counts: dict[int, int] = {}
-    for lam, d in enumerate_dominant(spec, D):
-        if allowable(spec, lam):
-            counts[d] = counts.get(d, 0) + 1
-    return DegreeTable(spec.canonical(), "zeta_star", D, counts)
-
-
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
+    return DegreeTable(spec.canonical(), "zeta_star", D, _spectrum(spec, D, star=True))
 
 
 def euler_identity_check(spec: GroupSpec, D: int) -> bool:
     """Coefficientwise check that zeta equals zeta_star times the geometric
     correction factors at primes = 1 mod N, truncated at D."""
-    expect = [0] * (D + 1)
-    for d, c in zeta_coefficients(spec, D).counts.items():
-        expect[d] = c
-    arr = [0] * (D + 1)
-    for d, c in zeta_star_coefficients(spec, D).counts.items():
-        arr[d] = c
     N = N_of(spec)
-    primes = [p for p in _primes_upto(D) if p % N == 1]
+    # prod over those p of 1/(1 - p^-ms) sums n^-ms over n built from such p
+    smooth = [n for n in range(1, D + 1) if all(p % N == 1 for p in _prime_divisors(n))]
+    series = _spectrum(spec, D, star=True)
     for fr in spec.factors:
         m = build(fr).num_positive
-        for p in primes:
-            q = p**m
-            if q > D:
-                continue
-            for d in range(q, D + 1, q):
-                arr[d] += arr[d // q]
-    return arr == expect
+        series = _dirichlet_mul(series, {n**m: 1 for n in smooth if n**m <= D}, D)
+    return series == _spectrum(spec, D, star=False)
 
 
 def _is_prime_power(n: int) -> bool:

@@ -19,6 +19,12 @@ Vector = tuple[Fraction, ...]
 Weight = tuple[int, ...]
 
 
+def ensure(ok, message: str = "") -> None:
+    """Raise AssertionError(message) unless ok; unlike assert, kept under -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 @dataclass(frozen=True, order=True)
 class FamilyRank:
     """Type label of an irreducible root system, e.g. FamilyRank('B', 7)."""
@@ -201,7 +207,7 @@ class RootSystem:
             for j in range(n)
         ]
         reduced, _ = echelon(cartan_t)
-        d = self._cartan_det = reduced[0][0]
+        d = self.cartan_det = reduced[0][0]
         num = self._inv_cartan_t_num = tuple(tuple(row[n:]) for row in reduced)
         self.fundamental_weights: tuple[Vector, ...] = tuple(
             tuple(
@@ -257,8 +263,13 @@ class RootSystem:
 
     def root_basis_coords(self, lam) -> tuple[Fraction, ...]:
         """Coordinates of a weight in the simple-root basis."""
-        d = self._cartan_det
+        d = self.cartan_det
         return tuple(Fraction(x, d) for x in self.root_basis_numerators(lam))
+
+    def center_class(self, lam) -> tuple[int, ...]:
+        """Class of a weight modulo the root lattice: its numerators mod det(C)."""
+        d = self.cartan_det
+        return tuple(x % d for x in self.root_basis_numerators(lam))
 
     def is_root(self, vec: Vector) -> bool:
         return vec in self._pos_index or tuple(-x for x in vec) in self._pos_index
@@ -323,8 +334,7 @@ def weyl_orbit_equal(system: RootSystem, v1, v2) -> bool:
 
 def in_root_lattice(system: RootSystem, v) -> bool:
     """True iff the weight v is an integer combination of roots."""
-    d = system._cartan_det
-    return all(x % d == 0 for x in system.root_basis_numerators(v))
+    return not any(system.center_class(v))
 
 
 # -- subsystems ------------------------------------------------------------
@@ -503,7 +513,7 @@ def quadratic_nullspace_dim(system: RootSystem) -> int:
 
 def spanning_check(system: RootSystem) -> bool:
     """For every root a, the roots not orthogonal to a span the whole space."""
-    fundamentals = _root_fundamentals(system)
+    fundamentals = [system.root_fundamental(i) for i in range(system.num_positive)]
     for coroot in system.coroots:
         rows = [
             coords
@@ -513,13 +523,3 @@ def spanning_check(system: RootSystem) -> bool:
         if len(echelon(rows)[1]) < system.rank:
             return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _root_fundamentals_cached(fr: FamilyRank) -> tuple[Weight, ...]:
-    system = build(fr)
-    return tuple(system.root_fundamental(i) for i in range(system.num_positive))
-
-
-def _root_fundamentals(system: RootSystem) -> tuple[Weight, ...]:
-    return _root_fundamentals_cached(system.id)

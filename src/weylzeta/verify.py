@@ -1,7 +1,8 @@
 """Regression ledger of reference values.
 
 Every check here re-derives a frozen set of numbers or relations from
-scratch and raises AssertionError when anything drifts.  run_checks
+scratch and raises AssertionError when anything drifts (through ensure,
+not assert, so the checks still run under python -O).  run_checks
 returns one result per check; the command line prints them as a
 PASS/FAIL ledger and the acceptance tests run them one per test.
 """
@@ -17,9 +18,9 @@ from .gassmann import DEFAULT_TRACE, DEFAULT_TWIST, verify_gassmann
 from .repdegrees import (
     GroupSpec,
     dim_irrep,
-    enumerate_dominant,
     euler_identity_check,
     prime_power_scan,
+    zeta_coefficients,
     zeta_star_coefficients,
 )
 from .rootsys import (
@@ -27,6 +28,7 @@ from .rootsys import (
     all_types,
     build,
     classify_subsystem,
+    ensure,
     quadratic_nullspace_dim,
     spanning_check,
 )
@@ -39,29 +41,29 @@ def check_explicit_values() -> None:
     for family, ranks in (("A", range(1, 9)), ("B", range(2, 9)),
                           ("C", range(3, 9)), ("D", range(4, 9))):
         for n in ranks:
-            assert evaluate(poly(f"{family}{n}"), 1) == 1, f"{family}{n} at 1"
-    assert evaluate(poly("G2"), 2) == 1
+            ensure(evaluate(poly(f"{family}{n}"), 1) == 1, f"{family}{n} at 1")
+    ensure(evaluate(poly("G2"), 2) == 1)
 
     f4 = poly("F4")
     v2, v3 = int(evaluate(f4, 2)), int(evaluate(f4, 3))
-    assert (v2, v3) == (52, 340119)
+    ensure((v2, v3) == (52, 340119))
     # 340119 = 3^4 * 13 * 17 * 19 and 52 = 2^2 * 13: the true gcd is 13
-    assert math.gcd(v2, v3) == 13
+    ensure(math.gcd(v2, v3) == 13)
 
     e6 = poly("E6")
     vals = tuple(int(evaluate(e6, n)) for n in (2, 3, 4))
-    assert vals == (1728, 3171108447, 71292900343808)
-    assert math.gcd(*vals) == 1
+    ensure(vals == (1728, 3171108447, 71292900343808))
+    ensure(math.gcd(*vals) == 1)
 
     e7 = poly("E7")
     vals = tuple(int(evaluate(e7, n)) for n in (2, 3))
-    assert vals == (573440, 33940969546604175)
-    assert math.gcd(*vals) == 5
+    ensure(vals == (573440, 33940969546604175))
+    ensure(math.gcd(*vals) == 5)
 
     e8 = poly("E8")
     vals = tuple(int(evaluate(e8, n)) for n in (2, 3))
-    assert vals == (4096000, 2665014302693985712862760000)
-    assert math.gcd(*vals) == 8000
+    ensure(vals == (4096000, 2665014302693985712862760000))
+    ensure(math.gcd(*vals) == 8000)
 
 
 _CONSISTENCY_TYPES = (
@@ -80,18 +82,18 @@ def check_polynomial_consistency() -> None:
             lam = tuple(n * m + v for m, v in zip(pair.mu, pair.nu))
             if any(c < 0 for c in lam):
                 continue
-            assert evaluate(P, n) == dim_irrep(system, lam), f"{name} at {n}"
+            ensure(evaluate(P, n) == dim_irrep(system, lam), f"{name} at {n}")
 
 
 def check_minimal_divisible_dimensions() -> None:
     """Exhaustive minimality of two distinguished divisible dimensions."""
-    dims = [d for _, d in enumerate_dominant(GroupSpec.parse("E7:sc"), 573440)]
+    dims = zeta_coefficients(GroupSpec.parse("E7:sc"), 573440).counts
     hits = sorted(d for d in dims if d % 114688 == 0)
-    assert hits and hits[0] == 573440, f"E7 multiples of 114688: {hits[:3]}"
+    ensure(hits and hits[0] == 573440, f"E7 multiples of 114688: {hits[:3]}")
 
-    dims = [d for _, d in enumerate_dominant(GroupSpec.parse("E8:sc"), 4096000)]
+    dims = zeta_coefficients(GroupSpec.parse("E8:sc"), 4096000).counts
     hits = sorted(d for d in dims if d % 512 == 0)
-    assert hits and hits[0] == 4096000, f"E8 multiples of 512: {hits[:3]}"
+    ensure(hits and hits[0] == 4096000, f"E8 multiples of 512: {hits[:3]}")
 
 
 _BRUTE_WITNESS = {
@@ -116,10 +118,10 @@ def check_efficiency_oracle(include_f4: bool = True) -> None:
             continue
         res = eff_bruteforce(name)
         expected = eff_formula(name)
-        assert res.eff == expected.eff, f"{name} eff {res.eff}"
-        assert res.lev == expected.lev, f"{name} lev {res.lev}"
+        ensure(res.eff == expected.eff, f"{name} eff {res.eff}")
+        ensure(res.lev == expected.lev, f"{name} lev {res.lev}")
         types = [str(t) for t in classify_subsystem(res.witness[0])]
-        assert types in expected_types, f"{name} witness {types}"
+        ensure(types in expected_types, f"{name} witness {types}")
 
 
 def check_prime_power_scan() -> None:
@@ -127,7 +129,7 @@ def check_prime_power_scan() -> None:
     for name in ("B7", "C7"):
         spec = GroupSpec.parse(f"{name}:adjoint")
         hits = prime_power_scan(spec, 10**6)
-        assert hits == [], f"{name}: {hits[:5]}"
+        ensure(hits == [], f"{name}: {hits[:5]}")
 
 
 def check_scaling_identity() -> None:
@@ -140,32 +142,32 @@ def check_scaling_identity() -> None:
             base = dim_irrep(system, lam)
             for p in (2, 3, 5, 7):
                 scaled = tuple(p * c + p - 1 for c in lam)
-                assert dim_irrep(system, scaled) == factor[p] * base, (fr, lam, p)
+                ensure(dim_irrep(system, scaled) == factor[p] * base, f"{fr} {lam} p={p}")
 
 
 def check_euler_identity() -> None:
     """Restricted counts generate the full counts through allowable primes."""
     for text in ("A1:sc", "A1:adjoint", "A1xA1:sc", "A1xA1:cosets[0,0;1/2,1/2]"):
-        assert euler_identity_check(GroupSpec.parse(text), 512), text
+        ensure(euler_identity_check(GroupSpec.parse(text), 512), text)
     star = zeta_star_coefficients(GroupSpec.parse("A1:sc"), 4096)
-    assert sorted(star.counts) == [2**k for k in range(13)]
-    assert set(star.counts.values()) == {1}
+    ensure(sorted(star.counts) == [2**k for k in range(13)])
+    ensure(set(star.counts.values()) == {1})
 
 
 def check_gassmann_pair() -> None:
     """The default twisted pair: equal spectra, inequivalent subgroups."""
     report = verify_gassmann(DEFAULT_TRACE, DEFAULT_TWIST, 10**4)
-    assert report.n == 128
-    assert report.zeta_equal
-    assert not report.perm_equivalent
+    ensure(report.n == 128)
+    ensure(report.zeta_equal)
+    ensure(not report.perm_equivalent)
 
 
 def check_quadratic_rigidity() -> None:
     """Roots pin the invariant quadratic form and span off every hyperplane."""
     for fr in all_types(8):
         system = build(fr)
-        assert quadratic_nullspace_dim(system) == 0, str(fr)
-        assert spanning_check(system), str(fr)
+        ensure(quadratic_nullspace_dim(system) == 0, str(fr))
+        ensure(spanning_check(system), str(fr))
 
 
 def check_prime_order_limit() -> None:
@@ -183,8 +185,8 @@ def check_prime_order_limit() -> None:
                 d //= p
                 order += 1
             errors.append(abs(math.log(p) * order / math.log(dim) - eff))
-        assert errors[1] < errors[0], f"{name}: {errors}"
-        assert errors[1] < 0.05, f"{name}: {errors[1]:.4f}"
+        ensure(errors[1] < errors[0], f"{name}: {errors}")
+        ensure(errors[1] < 0.05, f"{name}: {errors[1]:.4f}")
 
 
 @dataclass(frozen=True)

@@ -41,23 +41,17 @@ class ExplicitPair:
 
 def weyl_polynomial(R: RootSystem, mu, nu) -> WeylPolynomial:
     shifted = tuple(v + 1 for v in nu)
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     denom = 1
     for i in range(R.num_positive):
         a = R.pair(i, mu)
         b = R.pair(i, shifted)
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            if b:
-                new[k] += c * b
-            if a:
-                new[k + 1] += c * a
-        coeffs = new
+        coeffs = [b * c + a * p for c, p in zip(coeffs + [0], [0] + coeffs)]
         denom *= R.coroot_height(i)
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return WeylPolynomial(
-        tuple(c / denom for c in coeffs), (R.id, tuple(mu), tuple(nu))
+        tuple(Fraction(c, denom) for c in coeffs), (R.id, tuple(mu), tuple(nu))
     )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from weylzeta.cli import CACHE_ENV, main
+from weylzeta.cli import CACHE_ENV, _cache_path, main
 from weylzeta.repdegrees import DegreeTable
 
 
@@ -123,6 +123,25 @@ def test_cache_respects_variant_and_group(tmp_path, capsys):
     dims = [int(ln.split("\t")[0]) for ln in out.splitlines()[1:]]
     assert dims == [1, 2, 4, 8]
     assert len(list(cache.glob("*.tsv"))) == 2
+
+
+def test_cache_reads_only_its_own_file(tmp_path, capsys):
+    _, fresh, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "20")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    canonical = _cache_path(cache, "A2:sc", "zeta")
+    canonical.write_bytes(b"\xff\xfe not a table")
+    # a well-formed table for the same key under a foreign name is not read
+    foreign = "# weylzeta v1 group=A2:sc variant=zeta maxdim=50\n3\t99\n"
+    (cache / "foreign.tsv").write_text(foreign)
+    code, out, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "20",
+                       "--cache", str(cache))
+    assert code == 0
+    assert out == fresh
+    assert canonical.read_text() == fresh
+    # the write went through a temporary file that is gone
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        ["foreign.tsv", canonical.name])
 
 
 def test_cache_env_default(tmp_path, capsys, monkeypatch):

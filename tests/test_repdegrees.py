@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from sympy import primefactors
 
 from weylzeta.repdegrees import (
     DegreeTable,
@@ -269,3 +271,78 @@ def test_degree_table_roundtrip():
     assert trunc.counts == {1: 1, 3: 1, 5: 1} and trunc.bound == 5
     with pytest.raises(ValueError):
         table.truncated(100)
+
+
+# -- the center-graded engine against enumeration ---------------------------
+
+ENGINE_CASES = [
+    ("A1:sc", 400),
+    ("A1:adjoint", 400),
+    ("A2:adjoint", 3000),
+    ("B3:adjoint", 20000),
+    ("A1xA1:cosets[0,0;1/2,1/2]", 600),
+    ("A1xA1xA1:sc", 400),
+    ("A1xA1xA1:cosets[0,0,0;1/2,1/2,0;1/2,0,1/2;0,1/2,1/2]", 400),
+    ("A1xA1xA1xA1:sc", 150),
+    ("A1xA1xA1xA1:adjoint", 300),
+    ("A1xA1xA1xA1:cosets[0,0,0,0;1/2,1/2,1/2,1/2]", 300),
+    ("A2xA2:cosets[0,0,0,0;1/3,2/3,2/3,1/3;2/3,1/3,1/3,2/3]", 800),
+    ("D4:cosets[0,0,0,0;0,0,1/2,1/2]", 50000),
+    ("G2xA2:sc", 3000),
+    ("G2xA2:adjoint", 3000),
+    ("A1xA3:cosets[0,0,0,0;1/2,1/2,0,1/2]", 1500),
+    ("A1xB2xA1:cosets[0,0,0,0;1/2,1/2,0,0;0,1/2,0,1/2;1/2,0,0,1/2]", 600),
+]
+
+
+@pytest.mark.parametrize("variant", ["zeta", "zeta_star"])
+@pytest.mark.parametrize("text,bound", ENGINE_CASES)
+def test_engine_matches_enumeration(text, bound, variant):
+    # the slow definition: every dominant weight in the lattice, counted
+    spec = GroupSpec.parse(text)
+    expect: dict[int, int] = {}
+    for lam, d in enumerate_dominant(spec, bound):
+        if variant == "zeta" or allowable(spec, lam):
+            expect[d] = expect.get(d, 0) + 1
+    fn = zeta_coefficients if variant == "zeta" else zeta_star_coefficients
+    assert fn(spec, bound).counts == expect
+
+
+def _in_lattice_by_definition(spec, lam):
+    coords = []
+    for fr, (a, b) in zip(spec.factors, spec.slices()):
+        coords += build(fr).root_basis_coords(lam[a:b])
+    if spec.kind == "adjoint":
+        return all(c.denominator == 1 for c in coords)
+    return spec.kind == "sc" or tuple(c % 1 for c in coords) in spec.cosets
+
+
+def _allowable_by_definition(spec, lam):
+    N = N_of(spec)
+    return all(
+        allowable_at(build(fr), lam[a:b], p)
+        for fr, (a, b) in zip(spec.factors, spec.slices())
+        for p in primefactors(math.gcd(*(c + 1 for c in lam[a:b])))
+        if p % N == 1
+    )
+
+
+@pytest.mark.parametrize("text,bound", ENGINE_CASES)
+def test_lattice_and_allowability_match_definitions(text, bound):
+    # the engine and the reference above share these two rules; check them
+    # on the weights of the simply connected cover against their definitions
+    spec = GroupSpec.parse(text)
+    for lam, _ in enumerate_dominant(GroupSpec(spec.factors), bound // 3):
+        assert in_lattice(spec, lam) == _in_lattice_by_definition(spec, lam), lam
+        assert allowable(spec, lam) == _allowable_by_definition(spec, lam), lam
+
+
+def test_engine_zeta_star_strips_products():
+    # N = 4! for A1xA1, and the prime 73 = 1 mod 24 strips any factor
+    # whose dimension it divides, so the star variant loses 73 and 146
+    spec = GroupSpec.parse("A1xA1:sc")
+    full = zeta_coefficients(spec, 400).counts
+    star = zeta_star_coefficients(spec, 400).counts
+    assert (full[73], full[146]) == (2, 4)
+    assert 73 not in star and 146 not in star
+    assert star[72] == full[72]
