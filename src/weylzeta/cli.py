@@ -35,10 +35,27 @@ from .weylpoly import (
 )
 
 CACHE_ENV = "WEYLZETA_CACHE"
+# The largest factor rank the command line accepts: info on a rank-16 B, C or
+# D type takes about 0.8 s, and the time grows faster than the cube of the rank.
+MAX_RANK = 16
+
+
+def _check_rank(name: str, rank: int) -> None:
+    if rank > MAX_RANK:
+        raise ValueError(f"rank of {name} exceeds the limit of {MAX_RANK}")
 
 
 def _parse_type(text: str) -> FamilyRank:
-    return FamilyRank.parse(text)
+    fr = FamilyRank.parse(text)
+    _check_rank(str(fr), fr.rank)
+    return fr
+
+
+def _parse_group(text: str) -> GroupSpec:
+    # checked before parsing, which builds every factor to validate cosets
+    for m in re.finditer(r"[A-G](\d+)", text.split(":", 1)[0]):
+        _check_rank(m.group(), int(m.group(1)))
+    return GroupSpec.parse(text)
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -67,6 +84,28 @@ def _cache_path(directory: Path, canonical: str, variant: str) -> Path:
     return directory / f"{stem}-{tag}.{variant}.tsv"
 
 
+def _trailer(body: str) -> str:
+    entries = body.count("\n") - 1  # lines after the header
+    return f"# entries={entries} sha256={hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def _sealed(body: str) -> str:
+    """A table's text as the cache stores it, closed by a checksum trailer."""
+    return body + _trailer(body)
+
+
+def _unsealed(text: str) -> str:
+    """The table text of a cache file; ValueError unless its trailer matches.
+
+    A file cut short, even at a line boundary, loses or breaks the trailer.
+    """
+    cut = text.rfind("\n", 0, len(text) - 1) + 1
+    body, trailer = text[:cut], text[cut:]
+    if trailer != _trailer(body):
+        raise ValueError("cache file has no matching trailer")
+    return body
+
+
 def _cached_table(spec: GroupSpec, variant: str, bound: int,
                   directory: Path | None) -> DegreeTable:
     fn = zeta_coefficients if variant == "zeta" else zeta_star_coefficients
@@ -75,7 +114,7 @@ def _cached_table(spec: GroupSpec, variant: str, bound: int,
     canonical = spec.canonical()
     path = _cache_path(directory, canonical, variant)
     try:
-        table = DegreeTable.from_text(path.read_text())
+        table = DegreeTable.from_text(_unsealed(path.read_text()))
     except (OSError, ValueError):
         pass
     else:
@@ -86,7 +125,7 @@ def _cached_table(spec: GroupSpec, variant: str, bound: int,
     # write beside the target and rename, so no reader sees half a table
     directory.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(table.to_text())
+    tmp.write_text(_sealed(table.to_text()))
     os.replace(tmp, path)
     return table
 
@@ -119,7 +158,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_zeta(args, variant: str) -> int:
-    spec = GroupSpec.parse(args.group)
+    spec = _parse_group(args.group)
     if args.max_dim < 1:
         raise ValueError("--max-dim must be positive")
     table = _cached_table(spec, variant, args.max_dim, _cache_dir(args))

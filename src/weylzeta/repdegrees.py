@@ -9,6 +9,15 @@ Spectra come from one combiner, graded_product: each factor's degrees are
 counted once per center class (the class of the highest weight modulo the
 root lattice), and the spectrum of the group is the sum, over the class
 tuples its lattice allows, of the Dirichlet products of those series.
+
+One walk, _factor_spectrum, visits a factor's dominant weights up to the
+bound, once each, for the spectra and for enumerate_dominant alike.  It
+works incrementally: raising one coordinate adds a coroot column to the
+kept pairings <lam + rho, beta^vee> and moves the center class one step,
+so a weight costs one product of |Phi+| integers and builds no tuple.  For
+zeta_star, one sieve flags the coordinate gcds a prime = 1 mod N divides;
+the same sieve lists the smooth numbers of the Euler check.  allowable and
+in_lattice remain as the per-weight definitions the tests compare against.
 """
 
 from __future__ import annotations
@@ -19,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress
+from operator import add
 
 from .rootsys import FamilyRank, RootSystem, build
 
@@ -177,39 +188,76 @@ def in_lattice(spec: GroupSpec, lam) -> bool:
     return classes in _allowed_classes(spec)
 
 
-# -- enumeration -----------------------------------------------------------
+# -- the factor walk -------------------------------------------------------
 
 
-def _factor_spectrum(fr: FamilyRank, bound: int) -> list[tuple[int, Weight]]:
-    """Dominant weights of one factor with dimension <= bound, sorted."""
+@lru_cache(maxsize=None)
+def _center_steps(fr: FamilyRank, kind: str) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The center classes of one factor and how raising a coordinate moves them.
+
+    Raising lam_i adds the class of the i-th fundamental weight (column i of
+    the numerators of C^-T, mod det C).  classes lists every class reached
+    from the zero class, and steps[i][k] indexes classes[k] plus that column.
+    'sc' grades nothing: one class, ().
+    """
     system = build(fr)
     n = system.rank
-    coroots = system.coroots
-    delta = _delta(fr)
-    shifted = [1] * n  # lam + rho, suffix held at rho during the search
+    if kind == "sc":
+        return ((),), ((0,),) * n
+    d = system.cartan_det
+    cols = [system.center_class(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    classes = [(0,) * n]
+    index = {classes[0]: 0}
+    steps = [[] for _ in range(n)]
+    for cls in classes:  # grows until closed under the steps: the center is finite
+        for col, step in zip(cols, steps):
+            nxt = tuple((a + b) % d for a, b in zip(cls, col))
+            if nxt not in index:
+                index[nxt] = len(classes)
+                classes.append(nxt)
+            step.append(index[nxt])
+    return tuple(classes), tuple(map(tuple, steps))
 
-    def dim_now() -> int:
-        num = 1
-        for c in coroots:
-            num *= sum(ci * wi for ci, wi in zip(c, shifted) if ci)
-        return num // delta
 
-    out: list[tuple[int, Weight]] = []
+def _factor_spectrum(fr: FamilyRank, bound: int, kind: str):
+    """Walk the dominant weights of one factor with dimension <= bound.
 
-    def rec(i: int):
-        if i == n:
-            out.append((dim_now(), tuple(x - 1 for x in shifted)))
-            return
-        # dim is strictly increasing in each coordinate, and the value with
-        # the suffix at zero is a lower bound for every extension
-        while dim_now() <= bound:
-            rec(i + 1)
-            shifted[i] += 1
-        shifted[i] = 1
+    Yields (dim, class, shifted) once per weight, in no particular order.
+    class indexes _center_steps(fr, kind)[0]; shifted is lam + rho as a list
+    the walk goes on changing, so copy it to keep it.  The walk holds the
+    pairings <lam + rho, beta^vee> of the positive coroots: raising lam_i adds
+    column i of the coroots to them, and dim <= bound is the integer test
+    prod(pairings) <= bound * Delta.
+    """
+    system = build(fr)
+    n, delta = system.rank, _delta(fr)
+    limit = bound * delta
+    cols = [[c[i] for c in system.coroots] for i in range(n)]
+    steps = _center_steps(fr, kind)[1]
+    shifted = [1] * n
 
-    rec(0)
-    out.sort()
-    return out
+    def raise_from(k: int, vals: list[int], cls: int):
+        # a weight's children raise one coordinate at or after the last one it
+        # raised; dim grows in every coordinate, so each chain ends at its
+        # first weight over the bound, whose extensions are all over it too
+        for i in range(k, n):
+            col, step, v, c = cols[i], steps[i], vals, cls
+            while True:
+                v = list(map(add, v, col))
+                c = step[c]
+                shifted[i] += 1
+                p = math.prod(v)
+                if p > limit:
+                    break
+                yield p // delta, c, shifted
+                if i + 1 < n:
+                    yield from raise_from(i + 1, v, c)
+            shifted[i] = 1
+
+    vals = [sum(c) for c in system.coroots]
+    if math.prod(vals) <= limit:  # the trivial weight, of dimension 1
+        yield 1, 0, shifted
+        yield from raise_from(0, vals, 0)
 
 
 def enumerate_dominant(spec: GroupSpec, D: int) -> list[tuple[Weight, int]]:
@@ -219,7 +267,9 @@ def enumerate_dominant(spec: GroupSpec, D: int) -> list[tuple[Weight, int]]:
     """
     if D < 1:
         return []
-    lists = [_factor_spectrum(fr, D) for fr in spec.factors]
+    lists = [sorted((d, tuple(x - 1 for x in shifted))
+                    for d, _, shifted in _factor_spectrum(fr, D, "sc"))
+             for fr in spec.factors]
     m = len(lists)
     parts: list[Weight] = [()] * m
     results: list[tuple[Weight, int]] = []
@@ -281,6 +331,34 @@ def allowable(spec: GroupSpec, lam) -> bool:
     """True iff no factor of lam can be stripped at a prime = 1 mod N."""
     N = N_of(spec)
     return not any(_stripped(lam[a:b], N) for a, b in spec.slices())
+
+
+def _iroot(x: int, k: int) -> int:
+    """The largest r >= 0 with r**k <= x (0 when x < 1)."""
+    lo, hi = 0, 1 << (x.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _sieve(limit: int, N: int) -> tuple[bytearray, bytearray]:
+    """Prime divisors of each 1 <= g <= limit, sorted by residue mod N.
+
+    Returns (hit, miss): hit[g] is 1 iff a prime = 1 mod N divides g, and
+    miss[g] is 1 iff a prime that is not = 1 mod N does.
+    """
+    prime = bytearray([1]) * (limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    hit, miss = bytearray(limit + 1), bytearray(limit + 1)
+    for p in compress(range(2, limit + 1), prime[2:]):
+        (hit if p % N == 1 else miss)[p::p] = b"\x01" * (limit // p)
+    return hit, miss
 
 
 # -- spectra ---------------------------------------------------------------
@@ -379,15 +457,24 @@ def graded_product(factors, graded, tuples, bound: int) -> Series:
 def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
     """Degree counts up to D; star keeps the weights no prime = 1 mod N strips.
 
-    Each distinct factor's weights are counted once, by center class.
+    Each distinct factor's weights are counted once, by center class, as the
+    walk visits them.  A weight's shifted coordinates are g times positive
+    integers, so its dimension is at least g ** |Phi+| for their gcd g; the
+    strip flags are sieved only that far, and not at all when no prime
+    = 1 mod N (each exceeds N) is that small.
     """
     N = N_of(spec) if star else None
     graded: dict[FamilyRank, dict[tuple, Series]] = {}
     for fr in set(spec.factors):
-        system, by_class = build(fr), graded.setdefault(fr, {})
-        for d, w in _factor_spectrum(fr, D):
-            if N is None or not _stripped(w, N):
-                by_class.setdefault(_class_of(system, w, spec.kind), Counter())[d] += 1
+        gmax = _iroot(D, build(fr).num_positive)
+        hit = _sieve(gmax, N)[0] if star and gmax > N else None
+        classes = _center_steps(fr, spec.kind)[0]
+        counts: list[Series] = [{} for _ in classes]
+        for d, c, shifted in _factor_spectrum(fr, D, spec.kind):
+            if hit is None or not hit[math.gcd(*shifted)]:
+                series = counts[c]
+                series[d] = series.get(d, 0) + 1
+        graded[fr] = {cls: series for cls, series in zip(classes, counts) if series}
     return graded_product(spec.factors, graded, _allowed_classes(spec), D)
 
 
@@ -404,7 +491,9 @@ def euler_identity_check(spec: GroupSpec, D: int) -> bool:
     correction factors at primes = 1 mod N, truncated at D."""
     N = N_of(spec)
     # prod over those p of 1/(1 - p^-ms) sums n^-ms over n built from such p
-    smooth = [n for n in range(1, D + 1) if all(p % N == 1 for p in _prime_divisors(n))]
+    top = _iroot(D, min(build(fr).num_positive for fr in spec.factors))
+    miss = _sieve(top, N)[1]
+    smooth = [n for n in range(1, top + 1) if not miss[n]]
     series = _spectrum(spec, D, star=True)
     for fr in spec.factors:
         m = build(fr).num_positive

@@ -2,7 +2,7 @@
 
 import pytest
 
-from weylzeta.cli import CACHE_ENV, _cache_path, main
+from weylzeta.cli import CACHE_ENV, MAX_RANK, _cache_path, _sealed, _unsealed, main
 from weylzeta.repdegrees import DegreeTable
 
 
@@ -95,9 +95,10 @@ def test_cache_written_then_reused(tmp_path, capsys):
     files = list(cache.glob("*.tsv"))
     assert len(files) == 1
 
-    # Doctor the cached table; a smaller request must come from the file,
-    # truncated to the new bound.
-    files[0].write_text(files[0].read_text().replace("3\t2", "3\t99"))
+    # Doctor the cached table and seal it again; a smaller request must come
+    # from the file, truncated to the new bound.
+    body = _unsealed(files[0].read_text())
+    files[0].write_text(_sealed(body.replace("3\t2", "3\t99")))
     code, out, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10",
                        "--cache", str(cache))
     assert code == 0
@@ -138,10 +139,39 @@ def test_cache_reads_only_its_own_file(tmp_path, capsys):
                        "--cache", str(cache))
     assert code == 0
     assert out == fresh
-    assert canonical.read_text() == fresh
+    assert canonical.read_text() == _sealed(fresh)
     # the write went through a temporary file that is gone
     assert sorted(p.name for p in cache.iterdir()) == sorted(
         ["foreign.tsv", canonical.name])
+
+
+def test_cache_cut_at_line_boundary_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    _, fresh, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "1000",
+                      "--cache", str(cache))
+    path = _cache_path(cache, "A2:sc", "zeta")
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == len(fresh.splitlines()) + 1  # the trailer
+    for keep in (10, len(lines) - 1):
+        # a well-formed table with a valid header, cut short
+        path.write_text("".join(lines[:keep]))
+        code, out, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "1000",
+                           "--cache", str(cache))
+        assert code == 0
+        assert out == fresh
+        assert path.read_text() == _sealed(fresh)  # recomputed and rewritten
+
+
+def test_cache_trailer_checks_body():
+    body = "# weylzeta v1 group=A1:sc variant=zeta maxdim=3\n1\t1\n2\t1\n3\t1\n"
+    sealed = _sealed(body)
+    assert sealed.startswith(body)
+    assert sealed[len(body):].startswith("# entries=3 sha256=")
+    assert _unsealed(sealed) == body
+    for bad in (body, sealed.replace("2\t1", "2\t2"), sealed[:-2] + "\n",
+                sealed + "4\t1\n", ""):
+        with pytest.raises(ValueError):
+            _unsealed(bad)
 
 
 def test_cache_env_default(tmp_path, capsys, monkeypatch):
@@ -149,6 +179,30 @@ def test_cache_env_default(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "zeta", "--group", "A1:sc", "--max-dim", "12")
     assert code == 0
     assert len(list(tmp_path.glob("*.tsv"))) == 1
+
+
+def test_type_rank_cap(capsys):
+    over = f"A{MAX_RANK + 1}"
+    for argv in (["info", "--type", over], ["dims", "--type", over, "--weight", "0"],
+                 ["compare", "--first", "A2", "--second", f"D{MAX_RANK + 1}"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"limit of {MAX_RANK}" in err
+    code, out, _ = run(capsys, "dims", "--type", f"A{MAX_RANK}",
+                       "--weight", ",".join(["1"] + ["0"] * (MAX_RANK - 1)))
+    assert (code, out.strip()) == (0, str(MAX_RANK + 1))
+
+
+def test_group_rank_cap(capsys):
+    big = MAX_RANK + 1
+    coset = ",".join(["0"] * (big + 1))
+    for cmd, group in (("zeta", f"A1xB{big}:sc"), ("zeta-star", f"A{big}:adjoint"),
+                       ("zeta", f"A1xA{big}:cosets[{coset}]"), ("zeta", "A3000")):
+        code, out, err = run(capsys, cmd, "--group", group, "--max-dim", "10")
+        assert (code, out) == (2, "")
+        assert f"limit of {MAX_RANK}" in err
+    code, out, _ = run(capsys, "zeta", "--group", f"A1xA{MAX_RANK}:sc", "--max-dim", "3")
+    assert (code, out.splitlines()[1:]) == (0, ["1\t1", "2\t1", "3\t1"])
 
 
 def test_weylpoly_explicit_default(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from sympy import primefactors
 
 from weylzeta.repdegrees import (
     DegreeTable,
+    FamilyRank,
     GroupSpec,
     N_of,
     allowable,
@@ -20,6 +22,7 @@ from weylzeta.repdegrees import (
     zeta_coefficients,
     zeta_star_coefficients,
 )
+from weylzeta.repdegrees import _center_steps, _factor_spectrum, _iroot, _sieve, _stripped
 from weylzeta.rootsys import all_types, build
 
 H = Fraction(1, 2)
@@ -224,6 +227,15 @@ def test_zeta_star_powers_of_two():
     assert table.variant == "zeta_star"
 
 
+def test_zeta_star_at_every_small_bound():
+    # the strip sieve starts once a factor's gcd bound D ** (1/|Phi+|) passes
+    # N; for A1 (N = 2) the first strippable gcd is 3 = N + 1
+    su2 = GroupSpec.parse("A1:sc")
+    for D in range(1, 70):
+        counts = zeta_star_coefficients(su2, D).counts
+        assert counts == {2**k: 1 for k in range(7) if 2**k <= D}, D
+
+
 def test_zeta_star_so3():
     table = zeta_star_coefficients(GroupSpec.parse("A1:adjoint"), 100)
     assert table.counts == {1: 1}
@@ -346,3 +358,85 @@ def test_engine_zeta_star_strips_products():
     assert (full[73], full[146]) == (2, 4)
     assert 73 not in star and 146 not in star
     assert star[72] == full[72]
+
+
+# -- the factor walk and the sieve against their definitions -----------------
+
+WALK_CASES = [(fr, 3000) for fr in all_types(4)] + [
+    (FamilyRank("B", 7), 20000), (FamilyRank("E", 6), 20000)]
+
+
+def _weight_box(system, bound):
+    # dim grows in every coordinate, so a weight of dim <= bound has each
+    # coordinate at most the largest t with dim(t * omega_i) <= bound
+    n = system.rank
+    sides = []
+    for i in range(n):
+        t = 0
+        while dim_irrep(system, tuple(t + 1 if j == i else 0 for j in range(n))) <= bound:
+            t += 1
+        sides.append(range(t + 1))
+    return itertools.product(*sides)
+
+
+@pytest.mark.parametrize("fr,bound", WALK_CASES, ids=lambda x: str(x))
+def test_walk_matches_brute_force(fr, bound):
+    system = build(fr)
+    expect = sorted((d, lam) for lam in _weight_box(system, bound)
+                    if (d := dim_irrep(system, lam)) <= bound)
+    classes = _center_steps(fr, "adjoint")[0]
+    got = []
+    for d, c, shifted in _factor_spectrum(fr, bound, "adjoint"):
+        lam = tuple(x - 1 for x in shifted)
+        assert classes[c] == system.center_class(lam), lam
+        got.append((d, lam))
+    assert sorted(got) == expect
+    sc = [(d, c, tuple(s)) for d, c, s in _factor_spectrum(fr, bound, "sc")]
+    assert [(d, tuple(x - 1 for x in s)) for d, _, s in sc] == got
+    assert {c for _, c, _ in sc} == {0} and _center_steps(fr, "sc")[0] == ((),)
+
+
+def test_walk_respects_tiny_bounds():
+    for fr in (FamilyRank("A", 1), FamilyRank("E", 8)):
+        assert list(_factor_spectrum(fr, 0, "sc")) == []
+        assert [(d, list(s)) for d, _, s in _factor_spectrum(fr, 1, "sc")] == [
+            (1, [1] * fr.rank)]
+
+
+def _prime_factors(n):
+    # trial division
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | ({n} if n > 1 else set())
+
+
+@pytest.mark.parametrize("N", [2, 24, 720])
+def test_sieve_matches_definitions(N):
+    limit = 5000
+    hit, miss = _sieve(limit, N)
+    assert len(hit) == len(miss) == limit + 1
+    for g in [N, N + 1, *range(1, limit + 1)]:
+        assert bool(hit[g]) == _stripped((g - 1,), N), g
+        primes = _prime_factors(g)
+        assert bool(hit[g]) == any(p % N == 1 for p in primes), g
+        assert bool(miss[g]) == any(p % N != 1 for p in primes), g
+
+
+def test_sieve_small_limits():
+    for limit in range(4):
+        hit, miss = _sieve(limit, 2)
+        assert (len(hit), len(miss)) == (limit + 1, limit + 1)
+        assert list(hit[1:]) == [0, 0, 1][:limit] and list(miss[1:]) == [0, 1, 0][:limit]
+
+
+def test_iroot():
+    for k in range(1, 6):
+        for x in range(0, 3000):
+            r = _iroot(x, k)
+            assert r**k <= x < (r + 1) ** k
+    assert _iroot(10**400 - 1, 4) == 10**100 - 1
+    assert _iroot(-5, 2) == 0
