@@ -36,7 +36,7 @@ from .weylpoly import (
 
 CACHE_ENV = "WEYLZETA_CACHE"
 # The largest factor rank the command line accepts: info on a rank-16 B, C or
-# D type takes about 0.8 s, and the time grows faster than the cube of the rank.
+# D type takes about 0.03 s, and the build time grows about as the cube of the rank.
 MAX_RANK = 16
 
 
@@ -200,10 +200,11 @@ def _cmd_weylpoly(args) -> int:
 def _cmd_efficiency(args) -> int:
     fr = _parse_type(args.type)
     res = eff_formula(fr)
+    # search first: a type it refuses exits 2 with nothing on stdout
+    brute = eff_bruteforce(fr) if args.brute_force else None
     print(f"eff: {res.eff}")
     print(f"lev: {res.lev}")
-    if args.brute_force:
-        brute = eff_bruteforce(fr)
+    if brute:
         print(f"brute-force eff: {brute.eff}")
         print(f"brute-force lev: {brute.lev}")
         names = ["x".join(str(t) for t in classify_subsystem(part)) or "empty"
@@ -296,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper",
                        help="regression ledger of reference values")
     p.add_argument("--fast", action="store_true",
-                   help="skip the two slowest searches")
+                   help="skip the F4 efficiency search and the prime-power scan")
     p.set_defaults(func=_cmd_verify)
 
     return parser

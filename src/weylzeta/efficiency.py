@@ -75,8 +75,8 @@ def _forced_table(system: RootSystem) -> list[list[tuple[int, ...]]]:
     whenever those are roots, so closure can be tracked on positive
     indices alone.
     """
-    pos = system.positive_roots
-    index = {v: i for i, v in enumerate(pos)}
+    pos = system.root_coords
+    index = {c: i for i, c in enumerate(pos)}
     m = len(pos)
     forced = [[() for _ in range(m)] for _ in range(m)]
     for i in range(m):
@@ -181,34 +181,36 @@ def eff_bruteforce(system) -> EffResult:
 
     R' ranges over nonempty proper full subsystems, R'' over full
     subsystems disjoint from R'.  Among maximizing pairs the witness has
-    the fewest positive roots in R', ties broken by index order.
+    the fewest positive roots in R', ties broken by index order.  For a
+    given R' the best R'' is the first disjoint one in the order of
+    decreasing size, then index order; ratios compare in integers.
     """
     system = _as_system(system)
     _check_size(system)
     masks = _full_subsystem_masks(system)
-    total = system.num_roots
-    full = (1 << system.num_positive) - 1
+    npos = system.num_positive
+    full = (1 << npos) - 1
     primaries = [mk for mk in masks if mk and mk != full]
     if not primaries:
         raise ValueError(f"{system.id} has no nonempty proper subsystem")
+    secondaries = sorted(masks, key=lambda mk: (-mk.bit_count(), _bits(mk)))
     best = None
-    best_key = None
     for m1 in primaries:
-        size1 = 2 * m1.bit_count()
-        for m2 in masks:
-            if m1 & m2:
+        m2 = next(mk for mk in secondaries if not m1 & mk)
+        # |R'| / (|R| - |R''|) = num / den, counted in positive roots
+        num, den = m1.bit_count(), npos - m2.bit_count()
+        if best is not None:
+            best_num, best_den, best_m1, _ = best
+            ahead = num * best_den - best_num * den
+            if ahead < 0 or ahead == 0 and (num, _bits(m1)) >= (best_num, _bits(best_m1)):
                 continue
-            eff = Fraction(size1, total - 2 * m2.bit_count())
-            key = (-eff, m1.bit_count(), _bits(m1), _bits(m2))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (eff, m1, m2)
-    eff, m1, m2 = best
+        best = (num, den, m1, m2)
+    num, den, m1, m2 = best
     witness = (
         Subsystem(system, frozenset(_bits(m1))),
         Subsystem(system, frozenset(_bits(m2))),
     )
-    return EffResult(eff, m1.bit_count(), witness)
+    return EffResult(Fraction(num, den), num, witness)
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -246,26 +248,14 @@ def coxeter_bound(system: RootSystem, sub: Subsystem) -> Fraction:
     """
     if sub.parent is not system:
         raise ValueError("subsystem does not belong to this root system")
-    rows = sub.positive_vectors()
+    rows = [system.root_coords[i] for i in sorted(sub.pos_indices)]
     if len(echelon(rows)[1]) != system.rank - 1:
         raise ValueError("subsystem must span a hyperplane of the root space")
-    candidates = annihilator(rows, system.ambient_dim)
-    outside = [
-        system.positive_roots[i]
-        for i in range(system.num_positive)
+    (form,) = annihilator(rows, system.rank)
+    values = [
+        abs(sum(f * x for f, x in zip(form, coords)))
+        for i, coords in enumerate(system.root_coords)
         if i not in sub.pos_indices
     ]
-    form = next(
-        f for f in candidates
-        if any(_apply(f, v) for v in outside)
-    )
-    values = []
-    for v in outside:
-        x = _apply(form, v)
-        if x:
-            values.append(abs(x))
-    return 1 + max(values) / min(values)
-
-
-def _apply(form, vec) -> Fraction:
-    return sum(f * x for f, x in zip(form, vec))
+    values = [x for x in values if x]
+    return 1 + Fraction(max(values), min(values))

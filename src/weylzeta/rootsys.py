@@ -1,17 +1,22 @@
 """Irreducible root systems in exact Bourbaki coordinates.
 
-Roots live in the ambient space of the standard model (dimension n+1 for A_n,
-n for B_n/C_n/D_n, 8 for the E series, 4 for F4, 3 for G2) as tuples of
-Fractions.  Weights are tuples of integers in the fundamental-weight basis,
-where rho is the all-ones vector.  Positive roots are generated from the
-simple roots by the root-string algorithm, never copied from tables.
+Positive roots are generated in simple-root coordinates, as integer tuples,
+by the root-string algorithm on the Cartan matrix; they are never copied
+from tables.  Their vectors in the ambient space of the standard model
+(dimension n+1 for A_n, n for B_n/C_n/D_n, 8 for the E series, 4 for F4,
+3 for G2), tuples of Fractions, are derived from those coordinates.
+Weights are tuples of integers in the fundamental-weight basis, where rho
+is the all-ones vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from operator import mul
 
 from ._linalg import echelon
 
@@ -82,10 +87,6 @@ def _vsub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _dot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 def _simple_roots(fr: FamilyRank) -> list[Vector]:
     fam, n = fr.family, fr.rank
     if fam == "A":
@@ -131,37 +132,32 @@ def _simple_roots(fr: FamilyRank) -> list[Vector]:
     ]
 
 
-def _generate_positive_roots(simples: list[Vector]) -> list[tuple[Vector, tuple[int, ...]]]:
-    """All positive roots with their simple-root coordinates, by height."""
-    n = len(simples)
-    norms = [_dot(s, s) for s in simples]
-    known: dict[Vector, tuple[int, ...]] = {}
-    level = []
-    for i, s in enumerate(simples):
-        coords = tuple(1 if j == i else 0 for j in range(n))
-        known[s] = coords
-        level.append((s, coords))
+def _generate_positive_roots(cartan) -> list[tuple[int, ...]]:
+    """Simple-root coordinates of all positive roots: by height, then coordinates.
+
+    Root strings (Humphreys, Lie Algebras, 9.4): for a positive root beta
+    and a simple root alpha_i, beta + alpha_i is a root iff
+    p - <beta, alpha_i^vee> >= 1, where p is the largest k with
+    beta - k alpha_i a root and <beta, alpha_i^vee> = sum_j c_j C[j][i].
+    Every root below beta's height is known when beta is reached.
+    """
+    n = len(cartan)
+    columns = [tuple(row[i] for row in cartan) for i in range(n)]
+    level = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
+    known = set(level)
     out = list(level)
     while level:
-        nxt: dict[Vector, tuple[int, ...]] = {}
-        for beta, coords in level:
-            for i, alpha in enumerate(simples):
-                # p = largest k with beta - k*alpha still a root (all known already)
+        nxt = set()
+        for c in level:
+            for i, column in enumerate(columns):
                 p = 0
-                v = _vsub(beta, alpha)
-                while v in known:
+                while p < c[i] and c[:i] + (c[i] - p - 1,) + c[i + 1:] in known:
                     p += 1
-                    v = _vsub(v, alpha)
-                pairing = 2 * _dot(beta, alpha) / norms[i]
-                if p - pairing >= 1:
-                    new = _vadd(beta, alpha)
-                    if new not in known and new not in nxt:
-                        nc = tuple(
-                            c + (1 if j == i else 0) for j, c in enumerate(coords)
-                        )
-                        nxt[new] = nc
-        known.update(nxt)
-        level = sorted(nxt.items())
+                if p - sum(map(mul, c, column)) >= 1:
+                    nxt.add(c[:i] + (c[i] + 1,) + c[i + 1:])
+        known |= nxt
+        # one level is one height, so out stays in canonical order
+        level = sorted(nxt)
         out.extend(level)
     return out
 
@@ -176,25 +172,33 @@ class RootSystem:
         self.ambient_dim = len(simples[0])
         n = fr.rank
 
-        generated = _generate_positive_roots(simples)
-        # canonical order: height, then simple-root coordinates
-        generated.sort(key=lambda rc: (sum(rc[1]), rc[1]))
-        self.positive_roots: tuple[Vector, ...] = tuple(v for v, _ in generated)
-        self.root_coords: tuple[tuple[int, ...], ...] = tuple(c for _, c in generated)
-        self._pos_index = {v: i for i, v in enumerate(self.positive_roots)}
-
-        # cartan[i][j] = 2(alpha_i, alpha_j) / (alpha_j, alpha_j)
-        snorms = [_dot(s, s) for s in simples]
-        self.cartan_matrix: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(2 * _dot(a, b) / snorms[j]) for j, b in enumerate(simples))
-            for a in simples
+        # alpha_k = lifted[k] / den over one common denominator; gram is den^2
+        # times the inner products of the simple roots, the symmetrized form
+        den = math.lcm(*(x.denominator for s in simples for x in s))
+        lifted = [[int(x * den) for x in s] for s in simples]
+        gram = self._gram = tuple(
+            tuple(sum(map(mul, a, b)) for b in lifted) for a in lifted
         )
+        # cartan[i][j] = 2(alpha_i, alpha_j) / (alpha_j, alpha_j)
+        self.cartan_matrix: tuple[tuple[int, ...], ...] = tuple(
+            tuple(2 * gram[i][j] // gram[j][j] for j in range(n)) for i in range(n)
+        )
+
+        self.root_coords: tuple[tuple[int, ...], ...] = tuple(
+            _generate_positive_roots(self.cartan_matrix)
+        )
+        ambient = list(zip(*lifted))
+        self.positive_roots: tuple[Vector, ...] = tuple(
+            tuple(Fraction(sum(map(mul, c, col)), den) for col in ambient)
+            for c in self.root_coords
+        )
+        self._pos_index = {v: i for i, v in enumerate(self.positive_roots)}
 
         # beta = sum c_i alpha_i has coroot coordinates c_i |alpha_i|^2 / |beta|^2
         coroots = []
-        for v, coords in zip(self.positive_roots, self.root_coords):
-            nrm = _dot(v, v)
-            parts = [divmod(c * s, nrm) for c, s in zip(coords, snorms)]
+        for coords in self.root_coords:
+            nrm = self.inner(coords, coords)
+            parts = [divmod(c * gram[i][i], nrm) for i, c in enumerate(coords)]
             if any(r or q < 0 for q, r in parts):
                 raise ArithmeticError(f"coroot of {coords} is not nonnegative integral")
             coroots.append(tuple(q for q, _ in parts))
@@ -210,10 +214,8 @@ class RootSystem:
         d = self.cartan_det = reduced[0][0]
         num = self._inv_cartan_t_num = tuple(tuple(row[n:]) for row in reduced)
         self.fundamental_weights: tuple[Vector, ...] = tuple(
-            tuple(
-                sum((num[k][i] * simples[k][r] for k in range(n)), Fraction(0)) / d
-                for r in range(self.ambient_dim)
-            )
+            tuple(Fraction(sum(num[k][i] * x for k, x in enumerate(col)), d * den)
+                  for col in ambient)
             for i in range(n)
         )
         self.rho: Weight = (1,) * n
@@ -235,6 +237,10 @@ class RootSystem:
     def pair(self, alpha_index: int, lam) -> int:
         """Coroot-weight pairing alpha^vee(lambda) for a positive root index."""
         return sum(c * w for c, w in zip(self.coroots[alpha_index], lam))
+
+    def inner(self, x, y) -> int:
+        """den^2 times the inner product of two vectors in simple-root coordinates."""
+        return sum(a * sum(map(mul, row, y)) for a, row in zip(x, self._gram))
 
     def coroot_height(self, alpha_index: int) -> int:
         return sum(self.coroots[alpha_index])
@@ -386,23 +392,19 @@ def orthogonal_subsystem(system: RootSystem, v) -> Subsystem:
 
 def _base_of(sub: Subsystem) -> list[int]:
     """Indecomposable positive members: the simple system of the subsystem."""
-    vecs = {i: sub.parent.positive_roots[i] for i in sub.pos_indices}
-    vset = set(vecs.values())
-    base = []
-    for i, v in sorted(vecs.items()):
-        decomposable = any(
-            _vsub(v, w) in vset for w in vset if w != v
-        )
-        if not decomposable:
-            base.append(i)
-    return base
-
-
-def _cartan_of(vectors: list[Vector]) -> list[list[int]]:
-    norms = [_dot(v, v) for v in vectors]
+    coords = {i: sub.parent.root_coords[i] for i in sub.pos_indices}
+    cset = set(coords.values())
     return [
-        [int(2 * _dot(a, b) / norms[j]) for j, b in enumerate(vectors)]
-        for a in vectors
+        i for i, c in sorted(coords.items())
+        if not any(_vsub(c, w) in cset for w in cset if w != c)
+    ]
+
+
+def _cartan_of(system: RootSystem, indices: list[int]) -> list[list[int]]:
+    coords = [system.root_coords[i] for i in indices]
+    return [
+        [2 * system.inner(a, b) // system.inner(b, b) for b in coords]
+        for a in coords
     ]
 
 
@@ -458,8 +460,7 @@ def classify_subsystem(sub: Subsystem) -> list[FamilyRank]:
     if not sub.is_closed():
         raise ValueError("subsystem is not closed")
     base = _base_of(sub)
-    vecs = [sub.parent.positive_roots[i] for i in base]
-    cartan = _cartan_of(vecs)
+    cartan = _cartan_of(sub.parent, base)
     r = len(base)
     # connected components of the base diagram
     seen = [False] * r
@@ -512,14 +513,20 @@ def quadratic_nullspace_dim(system: RootSystem) -> int:
 
 
 def spanning_check(system: RootSystem) -> bool:
-    """For every root a, the roots not orthogonal to a span the whole space."""
+    """For every root a, the roots not orthogonal to a span the whole space.
+
+    The simple-root coordinates c of those roots span Q^n iff
+    M = sum c c^T is invertible: v^T M v = sum (c.v)^2, so the kernel of M
+    is the common annihilator of the c.  So each root costs one n x n
+    elimination.
+    """
+    n = system.rank
+    coords = system.root_coords
     fundamentals = [system.root_fundamental(i) for i in range(system.num_positive)]
+    products = [[[c[i] * c[j] for c in coords] for j in range(n)] for i in range(n)]
     for coroot in system.coroots:
-        rows = [
-            coords
-            for coords, fund in zip(system.root_coords, fundamentals)
-            if sum(c * f for c, f in zip(coroot, fund)) != 0
-        ]
-        if len(echelon(rows)[1]) < system.rank:
+        keep = [sum(map(mul, coroot, f)) != 0 for f in fundamentals]
+        gram = [[sum(compress(p, keep)) for p in row] for row in products]
+        if len(echelon(gram)[1]) < n:
             return False
     return True

@@ -197,7 +197,7 @@ class CheckResult:
 
 
 def run_checks(fast: bool = False) -> list[CheckResult]:
-    """Run the ledger; fast mode drops the two slowest searches."""
+    """Run the ledger; fast mode drops the F4 efficiency search and the prime-power scan."""
     checks = [
         ("explicit pair values and gcds", check_explicit_values),
         ("polynomials match the dimension formula", check_polynomial_consistency),

@@ -238,6 +238,13 @@ def test_efficiency_with_witness(capsys):
     assert "witness: A1 | A1" in out
 
 
+@pytest.mark.parametrize("name", ["E6", "B5"])
+def test_efficiency_refusal_prints_nothing(capsys, name):
+    code, out, err = run(capsys, "efficiency", "--type", name, "--brute-force")
+    assert (code, out) == (2, "")
+    assert "exhaustive search is limited to 24" in err
+
+
 def test_compare_orders_types(capsys):
     code, out, _ = run(capsys, "compare", "--first", "A3", "--second", "D4")
     assert (code, out.strip()) == (0, "greater")

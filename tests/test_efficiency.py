@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from weylzeta.efficiency import (
+    _bits,
     _full_subsystem_masks,
     compare,
     coxeter_bound,
@@ -154,6 +155,34 @@ def test_bruteforce_matches_formula(name):
     assert F(prime.num_roots, total - second.num_roots) == res.eff
     types = [str(t) for t in classify_subsystem(prime)]
     assert types in BRUTE_WITNESS[name]
+
+
+def _oracle_pair_search(system):
+    """The pair search with one Fraction key per disjoint pair."""
+    masks = _full_subsystem_masks(system)
+    full = (1 << system.num_positive) - 1
+    best_key = None
+    for m1 in masks:
+        if not m1 or m1 == full:
+            continue
+        for m2 in masks:
+            if m1 & m2:
+                continue
+            eff = F(2 * m1.bit_count(), system.num_roots - 2 * m2.bit_count())
+            key = (-eff, m1.bit_count(), _bits(m1), _bits(m2))
+            if best_key is None or key < best_key:
+                best_key = key
+    neg_eff, lev, bits1, bits2 = best_key
+    return -neg_eff, lev, frozenset(bits1), frozenset(bits2)
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_WITNESS))
+def test_bruteforce_matches_fraction_oracle(name):
+    res = eff_bruteforce(name)
+    prime, second = res.witness
+    assert (res.eff, res.lev, prime.pos_indices, second.pos_indices) == (
+        _oracle_pair_search(build(name))
+    )
 
 
 def test_bruteforce_g2_secondary_size():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylzeta._linalg import echelon
 from weylzeta.rootsys import (
     FamilyRank,
     Subsystem,
@@ -19,6 +20,68 @@ from weylzeta.rootsys import (
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def _oracle_roots(simples):
+    """Positive roots and simple-root coordinates by the root-string test on
+    ambient Fraction vectors, sorted by height, then coordinates."""
+    n = len(simples)
+    norms = [_dot(s, s) for s in simples]
+    known = {}
+    level = []
+    for i, s in enumerate(simples):
+        coords = tuple(1 if j == i else 0 for j in range(n))
+        known[s] = coords
+        level.append((s, coords))
+    out = list(level)
+    while level:
+        nxt = {}
+        for beta, coords in level:
+            for i, alpha in enumerate(simples):
+                p = 0
+                v = tuple(x - y for x, y in zip(beta, alpha))
+                while v in known:
+                    p += 1
+                    v = tuple(x - y for x, y in zip(v, alpha))
+                if p - 2 * _dot(beta, alpha) / norms[i] >= 1:
+                    new = tuple(x + y for x, y in zip(beta, alpha))
+                    if new not in known and new not in nxt:
+                        nxt[new] = tuple(c + (j == i) for j, c in enumerate(coords))
+        known.update(nxt)
+        level = sorted(nxt.items())
+        out.extend(level)
+    out.sort(key=lambda rc: (sum(rc[1]), rc[1]))
+    return out
+
+
+def _oracle_system(simples):
+    """Everything the root-system build derives, computed on Fractions."""
+    n = len(simples)
+    generated = _oracle_roots(simples)
+    roots = tuple(v for v, _ in generated)
+    coords = tuple(c for _, c in generated)
+    snorms = [_dot(s, s) for s in simples]
+    cartan = tuple(
+        tuple(int(2 * _dot(a, b) / snorms[j]) for j, b in enumerate(simples))
+        for a in simples
+    )
+    coroots = tuple(
+        tuple(int(c * s / _dot(v, v)) for c, s in zip(cs, snorms))
+        for v, cs in zip(roots, coords)
+    )
+    reduced, _ = echelon([
+        [cartan[k][j] for k in range(n)] + [int(i == j) for i in range(n)]
+        for j in range(n)
+    ])
+    d = reduced[0][0]
+    weights = tuple(
+        tuple(
+            sum((reduced[k][n + i] * simples[k][r] for k in range(n)), Fraction(0)) / d
+            for r in range(len(simples[0]))
+        )
+        for i in range(n)
+    )
+    return roots, coords, coroots, cartan, d, weights
 
 
 def _count_formula(fr):
@@ -56,6 +119,21 @@ def test_all_types_count():
 @pytest.mark.parametrize("fr", all_types(8), ids=str)
 def test_positive_root_counts(fr):
     assert build(fr).num_positive == _count_formula(fr)
+
+
+@pytest.mark.parametrize(
+    "fr", all_types(8) + [FamilyRank("B", 16), FamilyRank("D", 16)], ids=str
+)
+def test_integer_generation_matches_fraction_oracle(fr):
+    system = build(fr)
+    assert (
+        system.positive_roots,
+        system.root_coords,
+        system.coroots,
+        system.cartan_matrix,
+        system.cartan_det,
+        system.fundamental_weights,
+    ) == _oracle_system(system.simple_roots)
 
 
 @pytest.mark.parametrize("fr", all_types(6), ids=str)
@@ -237,3 +315,21 @@ def test_lemma_checks_smoke():
         system = build(name)
         assert quadratic_nullspace_dim(system) == 0
         assert spanning_check(system)
+
+
+class _A1xA1:
+    """Two orthogonal roots: a reducible system, so neither check holds."""
+
+    rank = 2
+    num_positive = 2
+    root_coords = ((1, 0), (0, 1))
+    coroots = ((1, 0), (0, 1))
+
+    def root_fundamental(self, i):
+        return ((2, 0), (0, 2))[i]
+
+
+def test_lemma_checks_fail_on_reducible_input():
+    system = _A1xA1()
+    assert quadratic_nullspace_dim(system) == 1  # the cross term x1 x2
+    assert spanning_check(system) is False
