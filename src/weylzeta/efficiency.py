@@ -7,12 +7,13 @@ among maximizing pairs.  eff_formula returns the closed-form values for
 the irreducible families; eff_bruteforce recomputes them by exhaustive
 search on systems with at most 24 positive roots.
 
-Two subsystem classes appear here and they are not the same thing.
-enumerate_closed_subsystems lists every symmetric subset closed under
-root addition.  The brute-force optimum is taken over the smaller class
-of full subsystems, those of the form R intersected with a subspace;
-taking the larger class would admit pairs like the long A2 inside G2
-whose ratio exceeds the tabulated efficiency.
+The search ranges over full subsystems, those of the form R intersected
+with a subspace.  By Bourbaki (Lie Groups VI, 1.7, Prop. 24) these are
+exactly the W-conjugates of the standard parabolic subsystems, so
+_full_subsystem_masks lists them as orbits under the simple reflections.
+The larger class of closed subsystems (enumerate_closed_subsystems, every
+symmetric subset closed under root addition) would admit pairs like the
+long A2 inside G2 whose ratio exceeds the tabulated efficiency.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._linalg import annihilator, echelon
-from .rootsys import FamilyRank, RootSystem, Subsystem, build
+from .rootsys import FamilyRank, RootSystem, Subsystem, build, simple_reflections
 
 # Exhaustive search is limited to systems no larger than F4.
 _BRUTE_LIMIT = 24
@@ -141,38 +142,27 @@ def enumerate_closed_subsystems(system) -> list[Subsystem]:
 def _full_subsystem_masks(system: RootSystem) -> list[int]:
     """Bitmasks of subsystems of the form R intersected with a subspace.
 
-    Breadth-first over subspaces spanned by roots, one dimension at a
-    time.  A subspace spanned by roots is spanned by the roots it
-    contains, so the mask determines the subspace and dedup is sound.
-    A root lies in a subspace iff it pairs to zero with every vector of
-    the subspace's integer annihilator.  Roots that one extension of a
-    mask already swept in would give that extension again, so they are
-    skipped.  Simple-root coordinates keep the elimination small.
+    Every such subsystem is W-conjugate to a standard parabolic one
+    (Bourbaki, Lie Groups VI, 1.7, Prop. 24): the roots supported on a
+    subset J of the simple roots.  Conversely w maps R intersected with V
+    onto R intersected with w(V).  So the masks are the orbit of the
+    2^rank standard masks under the simple reflections, applied bit by bit
+    as permutations of the positive-root indices.
     """
-    pos = system.root_coords
-    m = len(pos)
-    dim = system.rank
-    found = {0}
-    frontier: list[tuple[int, list[tuple[int, ...]]]] = [(0, [])]
-    while frontier:
-        grown = []
-        for mask, gens in frontier:
-            covered = mask
-            for i in range(m):
-                if covered >> i & 1:
-                    continue
-                # pos[i] lies outside span(gens), which mask exhausts
-                span = gens + [pos[i]]
-                forms = annihilator(span, dim)
-                ext = 0
-                for j, root in enumerate(pos):
-                    if not any(sum(f * x for f, x in zip(form, root)) for form in forms):
-                        ext |= 1 << j
-                covered |= ext
-                if ext not in found:
-                    found.add(ext)
-                    grown.append((ext, span))
-        frontier = grown
+    perms = simple_reflections(system)
+    found = {
+        sum(1 << b for b, c in enumerate(system.root_coords)
+            if all(x == 0 or J >> i & 1 for i, x in enumerate(c)))
+        for J in range(1 << system.rank)
+    }
+    stack = list(found)
+    while stack:
+        bits = _bits(stack.pop())
+        for perm in perms:
+            image = sum(1 << perm[b] for b in bits)
+            if image not in found:
+                found.add(image)
+                stack.append(image)
     return sorted(found)
 
 

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import compress, islice
 from operator import add
 
 from .rootsys import FamilyRank, RootSystem, build
@@ -153,15 +153,6 @@ def dim_irrep(R: RootSystem, lam) -> int:
     if r:
         raise ArithmeticError(f"{R.id} Weyl product of {lam} is not divisible by Delta")
     return q
-
-
-def dim_irrep_product(spec: GroupSpec, lam) -> int:
-    if len(lam) != spec.total_rank:
-        raise ValueError("weight length does not match total rank")
-    out = 1
-    for fr, (a, b) in zip(spec.factors, spec.slices()):
-        out *= dim_irrep(build(fr), tuple(lam[a:b]))
-    return out
 
 
 def _class_of(system: RootSystem, w, kind: str) -> tuple[int, ...]:
@@ -413,11 +404,18 @@ Series = dict[int, int]  # dimension -> count, zero counts omitted
 
 
 def _dirichlet_mul(a: Series, b: Series, bound: int) -> Series:
+    """Dirichlet product up to bound; a square (a is b) sums each pair i <= j once."""
     out = [0] * (bound + 1)
     b_items = sorted(b.items())
-    for i, ai in a.items():
+    square = a is b
+    for k, (i, ai) in enumerate(b_items if square else a.items()):
         limit = bound // i
-        for j, bj in b_items:
+        if square:
+            if i > limit:
+                break
+            out[i * i] += ai * ai
+            ai *= 2
+        for j, bj in islice(b_items, k + 1, None) if square else b_items:
             if j > limit:
                 break
             out[i * j] += ai * bj
@@ -509,30 +507,3 @@ def prime_power_scan(spec: GroupSpec, D: int) -> list[tuple[int, int]]:
     """Entries of the degree spectrum whose dimension is a prime power > 1."""
     table = zeta_coefficients(spec, D)
     return [(d, table.counts[d]) for d in sorted(table.counts) if _is_prime_power(d)]
-
-
-def recover_factor_sizes(coeffs) -> list[int]:
-    """Invert a truncated product of geometric series 1/(1-t^m).
-
-    coeffs maps exponent k to coefficient (a dict, or a dense list starting
-    at k=0).  Returns the sorted factor sizes m, erroring if no multiset of
-    factors reproduces the series.
-    """
-    if isinstance(coeffs, dict):
-        K = max(coeffs)
-        target = [coeffs.get(k, 0) for k in range(K + 1)]
-    else:
-        target = list(coeffs)
-        K = len(target) - 1
-    if K < 0 or target[0] != 1:
-        raise ValueError("series must start with coefficient 1")
-    current = [1] + [0] * K
-    sizes: list[int] = []
-    while current != target:
-        k = next(i for i in range(1, K + 1) if current[i] != target[i])
-        if current[k] > target[k]:
-            raise ValueError("series is not a product of geometric factors")
-        sizes.append(k)
-        for j in range(k, K + 1):
-            current[j] += current[j - k]
-    return sorted(sizes)

@@ -343,6 +343,39 @@ def in_root_lattice(system: RootSystem, v) -> bool:
     return not any(system.center_class(v))
 
 
+def simple_reflections(system) -> list[tuple[int, ...]]:
+    """Per simple root alpha_i, the permutation b -> index of +-s_i(beta_b).
+
+    s_i(beta) = beta - <beta, alpha_i^vee> alpha_i moves only coordinate i,
+    by coordinate i of beta in the fundamental-weight basis.  s_i negates
+    alpha_i and permutes the other positive roots.
+    """
+    coords = system.root_coords
+    index = {c: b for b, c in enumerate(coords)}
+    index.update({tuple(-x for x in c): b for b, c in enumerate(coords)})
+    fundamentals = [system.root_fundamental(b) for b in range(len(coords))]
+    return [
+        tuple(index[c[:i] + (c[i] - f[i],) + c[i + 1:]] for c, f in zip(coords, fundamentals))
+        for i in range(system.rank)
+    ]
+
+
+def reflection_orbits(perms, m: int) -> list[list[int]]:
+    """Orbits of the group the permutations generate on range(m), least member first."""
+    seen = [False] * m
+    orbits = []
+    for start in range(m):
+        if not seen[start]:
+            seen[start] = True
+            orbits.append([start])
+            for b in orbits[-1]:
+                for c in (perm[b] for perm in perms):
+                    if not seen[c]:
+                        seen[c] = True
+                        orbits[-1].append(c)
+    return orbits
+
+
 # -- subsystems ------------------------------------------------------------
 
 
@@ -515,16 +548,22 @@ def quadratic_nullspace_dim(system: RootSystem) -> int:
 def spanning_check(system: RootSystem) -> bool:
     """For every root a, the roots not orthogonal to a span the whole space.
 
+    The statement is W-invariant: w in W permutes the roots up to sign and
+    preserves orthogonality, so it maps the roots not orthogonal to a onto
+    those not orthogonal to w(a), and their span onto its image.  So one
+    root per orbit of the simple-reflection permutations is tested; the
+    orbits are computed, not assumed from root lengths.
+
     The simple-root coordinates c of those roots span Q^n iff
     M = sum c c^T is invertible: v^T M v = sum (c.v)^2, so the kernel of M
-    is the common annihilator of the c.  So each root costs one n x n
-    elimination.
+    is the common annihilator of the c: one n x n elimination per orbit.
     """
     n = system.rank
     coords = system.root_coords
     fundamentals = [system.root_fundamental(i) for i in range(system.num_positive)]
     products = [[[c[i] * c[j] for c in coords] for j in range(n)] for i in range(n)]
-    for coroot in system.coroots:
+    for orbit in reflection_orbits(simple_reflections(system), system.num_positive):
+        coroot = system.coroots[orbit[0]]
         keep = [sum(map(mul, coroot, f)) != 0 for f in fundamentals]
         gram = [[sum(compress(p, keep)) for p in row] for row in products]
         if len(echelon(gram)[1]) < n:

@@ -1,0 +1,109 @@
+"""Reference definitions the tests compare faster code against.
+
+Each function here is a slower or older definition kept out of the
+package: the subspace search for full subsystems, the per-root spanning
+test, and helpers only the tests call.
+"""
+
+from __future__ import annotations
+
+from itertools import compress
+from operator import mul
+
+from weylzeta._linalg import annihilator, echelon
+from weylzeta.repdegrees import GroupSpec, dim_irrep
+from weylzeta.rootsys import RootSystem, build
+
+
+def _full_subsystem_masks(system: RootSystem) -> list[int]:
+    """Bitmasks of subsystems of the form R intersected with a subspace.
+
+    Breadth-first over subspaces spanned by roots, one dimension at a
+    time.  A subspace spanned by roots is spanned by the roots it
+    contains, so the mask determines the subspace and dedup is sound.
+    A root lies in a subspace iff it pairs to zero with every vector of
+    the subspace's integer annihilator.  Roots that one extension of a
+    mask already swept in would give that extension again, so they are
+    skipped.  Simple-root coordinates keep the elimination small.
+    """
+    pos = system.root_coords
+    m = len(pos)
+    dim = system.rank
+    found = {0}
+    frontier: list[tuple[int, list[tuple[int, ...]]]] = [(0, [])]
+    while frontier:
+        grown = []
+        for mask, gens in frontier:
+            covered = mask
+            for i in range(m):
+                if covered >> i & 1:
+                    continue
+                # pos[i] lies outside span(gens), which mask exhausts
+                span = gens + [pos[i]]
+                forms = annihilator(span, dim)
+                ext = 0
+                for j, root in enumerate(pos):
+                    if not any(sum(f * x for f, x in zip(form, root)) for form in forms):
+                        ext |= 1 << j
+                covered |= ext
+                if ext not in found:
+                    found.add(ext)
+                    grown.append((ext, span))
+        frontier = grown
+    return sorted(found)
+
+
+def spanning_check(system: RootSystem) -> bool:
+    """For every root a, the roots not orthogonal to a span the whole space.
+
+    The simple-root coordinates c of those roots span Q^n iff
+    M = sum c c^T is invertible: v^T M v = sum (c.v)^2, so the kernel of M
+    is the common annihilator of the c.  So each root costs one n x n
+    elimination.
+    """
+    n = system.rank
+    coords = system.root_coords
+    fundamentals = [system.root_fundamental(i) for i in range(system.num_positive)]
+    products = [[[c[i] * c[j] for c in coords] for j in range(n)] for i in range(n)]
+    for coroot in system.coroots:
+        keep = [sum(map(mul, coroot, f)) != 0 for f in fundamentals]
+        gram = [[sum(compress(p, keep)) for p in row] for row in products]
+        if len(echelon(gram)[1]) < n:
+            return False
+    return True
+
+
+def dim_irrep_product(spec: GroupSpec, lam) -> int:
+    if len(lam) != spec.total_rank:
+        raise ValueError("weight length does not match total rank")
+    out = 1
+    for fr, (a, b) in zip(spec.factors, spec.slices()):
+        out *= dim_irrep(build(fr), tuple(lam[a:b]))
+    return out
+
+
+def recover_factor_sizes(coeffs) -> list[int]:
+    """Invert a truncated product of geometric series 1/(1-t^m).
+
+    coeffs maps exponent k to coefficient (a dict, or a dense list starting
+    at k=0).  Returns the sorted factor sizes m, erroring if no multiset of
+    factors reproduces the series.
+    """
+    if isinstance(coeffs, dict):
+        K = max(coeffs)
+        target = [coeffs.get(k, 0) for k in range(K + 1)]
+    else:
+        target = list(coeffs)
+        K = len(target) - 1
+    if K < 0 or target[0] != 1:
+        raise ValueError("series must start with coefficient 1")
+    current = [1] + [0] * K
+    sizes: list[int] = []
+    while current != target:
+        k = next(i for i in range(1, K + 1) if current[i] != target[i])
+        if current[k] > target[k]:
+            raise ValueError("series is not a product of geometric factors")
+        sizes.append(k)
+        for j in range(k, K + 1):
+            current[j] += current[j - k]
+    return sorted(sizes)

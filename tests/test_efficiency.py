@@ -21,6 +21,8 @@ from weylzeta.rootsys import (
     orthogonal_subsystem,
 )
 
+import oracles
+
 
 FORMULA_TABLE = [
     ("A1", F(1, 3), 0),
@@ -136,9 +138,16 @@ BRUTE_WITNESS = {
 
 @pytest.mark.parametrize("name,count", [
     ("G2", 8), ("B3", 24), ("A4", 52), ("D4", 72), ("C4", 116), ("B4", 116), ("F4", 268),
+    ("A5", 203), ("D5", 403), ("B5", 648), ("A6", 877),
 ])
 def test_full_subsystem_counts(name, count):
     assert len(_full_subsystem_masks(build(name))) == count
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_WITNESS) + ["A5", "D5"])
+def test_full_subsystem_masks_match_subspace_search(name):
+    system = build(name)
+    assert _full_subsystem_masks(system) == oracles._full_subsystem_masks(system)
 
 
 @pytest.mark.parametrize("name", sorted(BRUTE_WITNESS))

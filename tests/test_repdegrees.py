@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,17 +14,25 @@ from weylzeta.repdegrees import (
     allowable,
     allowable_at,
     dim_irrep,
-    dim_irrep_product,
     enumerate_dominant,
     euler_identity_check,
     in_lattice,
     prime_power_scan,
-    recover_factor_sizes,
     zeta_coefficients,
     zeta_star_coefficients,
 )
-from weylzeta.repdegrees import _center_steps, _factor_spectrum, _iroot, _sieve, _stripped
+from weylzeta.repdegrees import (
+    _center_steps,
+    _dirichlet_mul,
+    _dirichlet_pow,
+    _factor_spectrum,
+    _iroot,
+    _sieve,
+    _stripped,
+)
 from weylzeta.rootsys import all_types, build
+
+from oracles import dim_irrep_product, recover_factor_sizes
 
 H = Fraction(1, 2)
 SO4 = GroupSpec.parse("A1xA1:cosets[0,0;1/2,1/2]")
@@ -440,3 +449,34 @@ def test_iroot():
             assert r**k <= x < (r + 1) ** k
     assert _iroot(10**400 - 1, 4) == 10**100 - 1
     assert _iroot(-5, 2) == 0
+
+
+# -- Dirichlet squaring ------------------------------------------------------
+
+
+def _pair_loop(a, b, bound):
+    """The Dirichlet product by its definition: every ordered pair once."""
+    out = {}
+    for i, ai in a.items():
+        for j, bj in b.items():
+            if i * j <= bound:
+                out[i * j] = out.get(i * j, 0) + ai * bj
+    return {d: c for d, c in sorted(out.items()) if c}
+
+
+def _random_series(rng, top, density):
+    return {d: rng.randint(-3, 5) or 1 for d in range(1, top + 1) if rng.random() < density}
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 10, 97, 400])
+@pytest.mark.parametrize("density", [0.02, 0.3, 1.0])
+def test_dirichlet_square_matches_pair_loop(bound, density):
+    rng = random.Random(bound * 1000 + int(density * 100))
+    for _ in range(5):
+        a = _random_series(rng, max(1, bound + rng.randint(-1, 3)), density)
+        if not a:
+            continue
+        square = _dirichlet_mul(a, a, bound)
+        assert square == _dirichlet_mul(a, dict(a), bound) == _pair_loop(a, a, bound)
+        assert list(square) == sorted(square)
+        assert _dirichlet_pow(a, 3, bound) == _pair_loop(_pair_loop(a, a, bound), a, bound)

@@ -13,9 +13,13 @@ from weylzeta.rootsys import (
     in_root_lattice,
     orthogonal_subsystem,
     quadratic_nullspace_dim,
+    reflection_orbits,
+    simple_reflections,
     spanning_check,
     weyl_orbit_equal,
 )
+
+import oracles
 
 
 def _dot(a, b):
@@ -333,3 +337,40 @@ def test_lemma_checks_fail_on_reducible_input():
     system = _A1xA1()
     assert quadratic_nullspace_dim(system) == 1  # the cross term x1 x2
     assert spanning_check(system) is False
+
+
+@pytest.mark.parametrize("system", [build(fr) for fr in all_types(8)] + [_A1xA1()], ids=str)
+def test_spanning_check_matches_per_root_oracle(system):
+    assert spanning_check(system) is oracles.spanning_check(system)
+
+
+@pytest.mark.parametrize("fr", all_types(8), ids=str)
+def test_simple_reflections_are_the_reflections(fr):
+    system = build(fr)
+    roots = system.positive_roots
+    perms = simple_reflections(system)
+    assert len(perms) == system.rank
+    for alpha, perm in zip(system.simple_roots, perms):
+        assert sorted(perm) == list(range(system.num_positive))
+        assert all(perm[perm[b]] == b for b in range(system.num_positive))
+        for beta, b in zip(roots, perm):
+            pairing = 2 * _dot(beta, alpha) / _dot(alpha, alpha)
+            image = tuple(x - pairing * y for x, y in zip(beta, alpha))
+            assert roots[b] in (image, tuple(-x for x in image))
+
+
+@pytest.mark.parametrize("fr", all_types(8), ids=str)
+def test_reflection_orbits_by_root_length(fr):
+    system = build(fr)
+    orbits = reflection_orbits(simple_reflections(system), system.num_positive)
+    assert len(orbits) == (1 if fr.family in "ADE" else 2)
+    assert sorted(b for orbit in orbits for b in orbit) == list(range(system.num_positive))
+    lengths = [{system.inner(system.root_coords[b], system.root_coords[b]) for b in orbit}
+               for orbit in orbits]
+    assert all(len(ls) == 1 for ls in lengths)
+
+
+def test_reflections_of_reducible_input():
+    system = _A1xA1()
+    assert simple_reflections(system) == [(0, 1), (0, 1)]
+    assert reflection_orbits(simple_reflections(system), 2) == [[0], [1]]
