@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (and on an all-PASS ledger), 1 when a
 verification fails, 2 on usage errors including malformed group
-strings, weights, and flag combinations.
+strings, weights, and flag combinations, and on file-system errors
+such as an --out path in a missing directory.
 """
 
 from __future__ import annotations
@@ -185,6 +186,7 @@ def _cmd_weylpoly(args) -> int:
     else:
         pair = explicit_pair(fr)
         mu, nu = pair.mu, pair.nu
+    points = _parse_ints(args.eval, "--eval") if args.eval else ()
     P = weyl_polynomial(system, mu, nu)
     print(f"mu: {','.join(map(str, mu))}")
     print(f"nu: {','.join(map(str, nu))}")
@@ -192,7 +194,7 @@ def _cmd_weylpoly(args) -> int:
     if any(P.coefficients):
         print(f"ord: {ord_at_zero(P)}")
         print(f"deg: {degree(P)}")
-    for n in _parse_ints(args.eval, "--eval") if args.eval else ():
+    for n in points:
         print(f"P({n}) = {evaluate(P, n)}")
     return 0
 
@@ -311,7 +313,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,8 +12,9 @@ with a subspace.  By Bourbaki (Lie Groups VI, 1.7, Prop. 24) these are
 exactly the W-conjugates of the standard parabolic subsystems, so
 _full_subsystem_masks lists them as orbits under the simple reflections.
 The larger class of closed subsystems (enumerate_closed_subsystems, every
-symmetric subset closed under root addition) would admit pairs like the
-long A2 inside G2 whose ratio exceeds the tabulated efficiency.
+symmetric subset closed under root addition, re-closed by rootsys.closure)
+would admit pairs like the long A2 inside G2 whose ratio exceeds the
+tabulated efficiency.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._linalg import annihilator, echelon
-from .rootsys import FamilyRank, RootSystem, Subsystem, build, simple_reflections
+from .rootsys import FamilyRank, RootSystem, Subsystem, build, closure, simple_reflections
 
 # Exhaustive search is limited to systems no larger than F4.
 _BRUTE_LIMIT = 24
@@ -69,56 +70,15 @@ def _check_size(system: RootSystem) -> None:
         )
 
 
-def _forced_table(system: RootSystem) -> list[list[tuple[int, ...]]]:
-    """forced[i][j] = positive-root indices that i and j jointly force.
-
-    A symmetric set containing +-a and +-b must contain a+b and a-b
-    whenever those are roots, so closure can be tracked on positive
-    indices alone.
-    """
-    pos = system.root_coords
-    index = {c: i for i, c in enumerate(pos)}
-    m = len(pos)
-    forced = [[() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i):
-            need = []
-            s = tuple(a + b for a, b in zip(pos[i], pos[j]))
-            if s in index:
-                need.append(index[s])
-            d = tuple(a - b for a, b in zip(pos[i], pos[j]))
-            if d in index:
-                need.append(index[d])
-            else:
-                neg = tuple(-x for x in d)
-                if neg in index:
-                    need.append(index[neg])
-            forced[i][j] = forced[j][i] = tuple(need)
-    return forced
-
-
-def _close(mask: int, forced) -> int:
-    stack = [i for i in range(len(forced)) if mask >> i & 1]
-    while stack:
-        i = stack.pop()
-        for j in range(len(forced)):
-            if i != j and mask >> j & 1:
-                for k in forced[i][j]:
-                    if not mask >> k & 1:
-                        mask |= 1 << k
-                        stack.append(k)
-    return mask
-
-
 def enumerate_closed_subsystems(system) -> list[Subsystem]:
     """All symmetric closed subsets of the roots, empty set and R included.
 
     DFS over positive-root index order: each known closed set is extended
-    by one generator and re-closed, deduplicating by bitmask.
+    by one generator and re-closed by rootsys.closure, deduplicating by
+    bitmask.
     """
     system = _as_system(system)
     _check_size(system)
-    forced = _forced_table(system)
     m = system.num_positive
     seen = {0}
     stack = [0]
@@ -127,7 +87,7 @@ def enumerate_closed_subsystems(system) -> list[Subsystem]:
         for i in range(m):
             if mask >> i & 1:
                 continue
-            ext = _close(mask | 1 << i, forced)
+            ext = closure(system, mask | 1 << i)
             if ext not in seen:
                 seen.add(ext)
                 stack.append(ext)

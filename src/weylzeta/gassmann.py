@@ -119,16 +119,8 @@ def build_sign_hom(f: TraceFunction) -> SignHom:
 
 
 def _spans_dual(mult: dict[int, int]) -> bool:
-    basis: list[int] = []
-    for y, m in mult.items():
-        if not m:
-            continue
-        v = y
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return len(basis) == 3
+    """The functionals in use span the dual: no nonzero x is killed by all of them."""
+    return all(any(m and _dot(y, x) for y, m in mult.items()) for x in range(1, 8))
 
 
 @lru_cache(maxsize=1)

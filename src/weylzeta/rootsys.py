@@ -7,6 +7,12 @@ from tables.  Their vectors in the ambient space of the standard model
 3 for G2), tuples of Fractions, are derived from those coordinates.
 Weights are tuples of integers in the fundamental-weight basis, where rho
 is the all-ones vector.
+
+Each rule is stated once.  _is_type decides which (family, rank) labels
+exist; FamilyRank, all_types and classify_subsystem read it.  Closure of
+a set of roots is tracked on integer positive-root indices: a table per
+system lists the roots each pair forces, and closure() serves both
+Subsystem.is_closed and efficiency.enumerate_closed_subsystems.
 """
 
 from __future__ import annotations
@@ -30,6 +36,16 @@ def ensure(ok, message: str = "") -> None:
         raise AssertionError(message)
 
 
+_LEAST_CLASSICAL_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
+_EXCEPTIONAL = {("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)}
+
+
+def _is_type(family: str, rank: int) -> bool:
+    """A classical family from its least rank on, or an exceptional type."""
+    least = _LEAST_CLASSICAL_RANK.get(family)
+    return (least is not None and rank >= least) or (family, rank) in _EXCEPTIONAL
+
+
 @dataclass(frozen=True, order=True)
 class FamilyRank:
     """Type label of an irreducible root system, e.g. FamilyRank('B', 7)."""
@@ -38,18 +54,8 @@ class FamilyRank:
     rank: int
 
     def __post_init__(self):
-        fam, n = self.family, self.rank
-        ok = (
-            (fam == "A" and n >= 1)
-            or (fam == "B" and n >= 2)
-            or (fam == "C" and n >= 3)
-            or (fam == "D" and n >= 4)
-            or (fam == "E" and n in (6, 7, 8))
-            or (fam == "F" and n == 4)
-            or (fam == "G" and n == 2)
-        )
-        if not ok:
-            raise ValueError(f"invalid root system type: {fam}{n}")
+        if not _is_type(self.family, self.rank):
+            raise ValueError(f"invalid root system type: {self.family}{self.rank}")
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -63,16 +69,9 @@ class FamilyRank:
 
 
 def all_types(max_rank: int = 8) -> list[FamilyRank]:
-    """Every valid irreducible type with rank at most max_rank."""
-    out = []
-    for fam, lo in (("A", 1), ("B", 2), ("C", 3), ("D", 4)):
-        out.extend(FamilyRank(fam, n) for n in range(lo, max_rank + 1))
-    out.extend(FamilyRank("E", n) for n in (6, 7, 8) if n <= max_rank)
-    if max_rank >= 4:
-        out.append(FamilyRank("F", 4))
-    if max_rank >= 2:
-        out.append(FamilyRank("G", 2))
-    return out
+    """Every valid irreducible type with rank at most max_rank, by family then rank."""
+    return [FamilyRank(fam, n) for fam in "ABCDEFG" for n in range(1, max_rank + 1)
+            if _is_type(fam, n)]
 
 
 def _e(i: int, dim: int) -> Vector:
@@ -343,6 +342,14 @@ def in_root_lattice(system: RootSystem, v) -> bool:
     return not any(system.center_class(v))
 
 
+def _signed_index(system) -> dict[tuple[int, ...], int]:
+    """Simple-root coordinates of each root +-beta_b, mapped to the index b."""
+    index = {}
+    for b, c in enumerate(system.root_coords):
+        index[c] = index[tuple(-x for x in c)] = b
+    return index
+
+
 def simple_reflections(system) -> list[tuple[int, ...]]:
     """Per simple root alpha_i, the permutation b -> index of +-s_i(beta_b).
 
@@ -351,8 +358,7 @@ def simple_reflections(system) -> list[tuple[int, ...]]:
     alpha_i and permutes the other positive roots.
     """
     coords = system.root_coords
-    index = {c: b for b, c in enumerate(coords)}
-    index.update({tuple(-x for x in c): b for b, c in enumerate(coords)})
+    index = _signed_index(system)
     fundamentals = [system.root_fundamental(b) for b in range(len(coords))]
     return [
         tuple(index[c[:i] + (c[i] - f[i],) + c[i + 1:]] for c, f in zip(coords, fundamentals))
@@ -403,16 +409,41 @@ class Subsystem:
 
     def is_closed(self) -> bool:
         """Sum closure: a, b in S and a + b a root imply a + b in S."""
-        vecs = self.vectors()
-        members = set(vecs)
-        for a in vecs:
-            for b in vecs:
-                if a == b:
-                    continue
-                s = _vadd(a, b)
-                if any(s) and self.parent.is_root(s) and s not in members:
-                    return False
-        return True
+        mask = sum(1 << i for i in self.pos_indices)
+        return closure(self.parent, mask) == mask
+
+
+@lru_cache(maxsize=None)
+def _forced_table(system) -> list[list[tuple[int, ...]]]:
+    """forced[i][j] = positive-root indices that roots i and j jointly force.
+
+    A symmetric set containing +-a and +-b must contain +-(a+b) and
+    +-(a-b) whenever those are roots, so closure can be tracked on
+    positive indices alone.
+    """
+    pos = system.root_coords
+    index = _signed_index(system)
+    m = len(pos)
+    forced = [[() for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(i):
+            pair = (_vadd(pos[i], pos[j]), _vsub(pos[i], pos[j]))
+            forced[i][j] = forced[j][i] = tuple(index[s] for s in pair if s in index)
+    return forced
+
+
+def closure(system, mask: int) -> int:
+    """The least closed symmetric set of roots containing a positive-root bitmask."""
+    forced = _forced_table(system)
+    stack = [i for i in range(len(forced)) if mask >> i & 1]
+    while stack:
+        for j, need in enumerate(forced[stack.pop()]):
+            if need and mask >> j & 1:
+                for k in need:
+                    if not mask >> k & 1:
+                        mask |= 1 << k
+                        stack.append(k)
+    return mask
 
 
 def orthogonal_subsystem(system: RootSystem, v) -> Subsystem:
@@ -441,23 +472,6 @@ def _cartan_of(system: RootSystem, indices: list[int]) -> list[list[int]]:
     ]
 
 
-def _candidate_types(r: int) -> list[FamilyRank]:
-    out = [FamilyRank("A", r)]
-    if r >= 2:
-        out.append(FamilyRank("B", r))
-    if r >= 3:
-        out.append(FamilyRank("C", r))
-    if r >= 4:
-        out.append(FamilyRank("D", r))
-    if r in (6, 7, 8):
-        out.append(FamilyRank("E", r))
-    if r == 4:
-        out.append(FamilyRank("F", 4))
-    if r == 2:
-        out.append(FamilyRank("G", 2))
-    return out
-
-
 def _cartan_match(mat: list[list[int]], ref) -> bool:
     """Existence of a vertex relabelling identifying the two Cartan matrices."""
     r = len(mat)
@@ -468,14 +482,10 @@ def _cartan_match(mat: list[list[int]], ref) -> bool:
         if i == r:
             return True
         for j in range(r):
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if mat[i][k] != ref[j][assign[k]] or mat[k][i] != ref[assign[k]][j]:
-                    ok = False
-                    break
-            if ok:
+            if not used[j] and all(
+                mat[i][k] == ref[j][assign[k]] and mat[k][i] == ref[assign[k]][j]
+                for k in range(i)
+            ):
                 used[j] = True
                 assign[i] = j
                 if backtrack(i + 1):
@@ -515,12 +525,8 @@ def classify_subsystem(sub: Subsystem) -> list[FamilyRank]:
     types = []
     for comp in comps:
         sub_cartan = [[cartan[i][j] for j in comp] for i in comp]
-        found = None
-        for cand in _candidate_types(len(comp)):
-            ref = build(cand).cartan_matrix
-            if _cartan_match(sub_cartan, ref):
-                found = cand
-                break
+        found = next((t for t in all_types(len(comp)) if t.rank == len(comp)
+                      and _cartan_match(sub_cartan, build(t).cartan_matrix)), None)
         if found is None:
             raise ValueError("unrecognized component Cartan matrix")
         types.append(found)

@@ -2,7 +2,8 @@
 
 Each function here is a slower or older definition kept out of the
 package: the subspace search for full subsystems, the per-root spanning
-test, and helpers only the tests call.
+test, the Fraction-vector closure test, the GF(2) elimination for
+spanning the dual of F_2^3, and helpers only the tests call.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from operator import mul
 
 from weylzeta._linalg import annihilator, echelon
 from weylzeta.repdegrees import GroupSpec, dim_irrep
-from weylzeta.rootsys import RootSystem, build
+from weylzeta.rootsys import RootSystem, Subsystem, _vadd, build
 
 
 def _full_subsystem_masks(system: RootSystem) -> list[int]:
@@ -71,6 +72,40 @@ def spanning_check(system: RootSystem) -> bool:
         if len(echelon(gram)[1]) < n:
             return False
     return True
+
+
+def is_closed(sub: Subsystem) -> bool:
+    """Sum closure: a, b in S and a + b a root imply a + b in S.
+
+    Every ordered pair of the subsystem's ambient Fraction vectors is added.
+    """
+    vecs = sub.vectors()
+    members = set(vecs)
+    for a in vecs:
+        for b in vecs:
+            if a == b:
+                continue
+            s = _vadd(a, b)
+            if any(s) and sub.parent.is_root(s) and s not in members:
+                return False
+    return True
+
+
+def spans_dual(mult: dict[int, int]) -> bool:
+    """The functionals y with nonzero multiplicity span the dual of F_2^3.
+
+    GF(2) elimination: each functional is reduced against the basis so far.
+    """
+    basis: list[int] = []
+    for y, m in mult.items():
+        if not m:
+            continue
+        v = y
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis) == 3
 
 
 def dim_irrep_product(spec: GroupSpec, lam) -> int:

@@ -64,6 +64,27 @@ def test_zeta_out_file(tmp_path, capsys):
     assert table.counts[3] == 2
 
 
+def test_zeta_out_in_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.tsv"
+    code, out, err = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_zeta_cache_on_regular_file(tmp_path, capsys):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("x")
+    code, out, err = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10",
+                         "--cache", str(blocker))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert blocker.read_text() == "x"
+
+
 def test_zeta_deterministic_output(capsys):
     _, first, _ = run(capsys, "zeta", "--group", "A1xA2:sc", "--max-dim", "40")
     _, second, _ = run(capsys, "zeta", "--group", "A1xA2:sc", "--max-dim", "40")
@@ -228,6 +249,14 @@ def test_weylpoly_flag_conflicts(capsys):
     assert code == 2
     code, _, _ = run(capsys, "weylpoly", "--type", "A2", "--mu", "1,0")
     assert code == 2
+
+
+def test_weylpoly_bad_eval_prints_nothing(capsys):
+    code, out, err = run(capsys, "weylpoly", "--type", "A2", "--mu", "1,0", "--nu", "0,0",
+                         "--eval", "1/2")
+    assert code == 2
+    assert out == ""
+    assert "--eval" in err
 
 
 def test_efficiency_with_witness(capsys):

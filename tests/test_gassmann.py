@@ -7,6 +7,7 @@ import pytest
 
 from weylzeta.gassmann import (
     DEFAULT_TRACE,
+    _spans_dual,
     DEFAULT_TWIST,
     TraceFunction,
     build_sign_hom,
@@ -21,6 +22,8 @@ from weylzeta.gassmann import (
 )
 from weylzeta.repdegrees import DegreeTable, GroupSpec, zeta_coefficients
 from weylzeta.rootsys import FamilyRank
+
+import oracles
 
 # f(0) = 8 and zero elsewhere: the sign pattern of the regular
 # representation; skips build_trace validation (not injective) on purpose.
@@ -96,6 +99,13 @@ def test_sign_hom_default():
         assert 128 - 2 * hom.weight(x) == DEFAULT_TRACE[x]
     assert hom.weight(7) == 48
     assert hom.weight(5) == 52
+
+
+def test_spans_dual_matches_elimination():
+    # every support of the multiplicities, with unequal nonzero values
+    for support in range(256):
+        mult = {y: (support >> y & 1) * (1 + y % 3) for y in range(8)}
+        assert _spans_dual(mult) is oracles.spans_dual(mult), support
 
 
 def test_twist_default():

@@ -115,6 +115,18 @@ def test_type_validation():
         FamilyRank.parse("X2")
 
 
+def test_all_types_order_and_refusals():
+    assert [str(t) for t in all_types(4)] == [
+        "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"
+    ]
+    assert [str(t) for t in all_types(8) if t.family == "E"] == ["E6", "E7", "E8"]
+    assert all_types(0) == []
+    for fam, n in [("H", 3), ("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5),
+                   ("E", 9), ("F", 3), ("G", 3), ("A", -1)]:
+        with pytest.raises(ValueError, match=f"^invalid root system type: {fam}{n}$"):
+            FamilyRank(fam, n)
+
+
 def test_all_types_count():
     assert len(all_types(8)) == 31
     assert len(all_types(2)) == 4  # A1 A2 B2 G2
@@ -307,6 +319,29 @@ def test_classify_rejects_non_closed():
         classify_subsystem(sub)
 
 
+CLOSURE_SUBSETS = {"A1", "A2", "B2", "G2", "A3", "B3", "C3"}
+
+
+@pytest.mark.parametrize("fr", all_types(5), ids=str)
+def test_is_closed_matches_fraction_oracle(fr):
+    """Integer closure against the Fraction pair loop: every subset of the
+    positive roots on the small types, and on every type up to rank 5 the
+    orthogonal subsystem of each 0/1 weight with one variant that has the
+    last root index toggled."""
+    system = build(fr)
+    m = system.num_positive
+    cases = []
+    if str(fr) in CLOSURE_SUBSETS:
+        cases += [frozenset(i for i in range(m) if mask >> i & 1) for mask in range(1 << m)]
+    for mask in range(1 << system.rank):
+        lam = tuple(mask >> i & 1 for i in range(system.rank))
+        idx = orthogonal_subsystem(system, lam).pos_indices
+        cases += [idx, idx ^ {m - 1}]
+    for idx in cases:
+        sub = Subsystem(system, idx)
+        assert sub.is_closed() is oracles.is_closed(sub), sorted(idx)
+
+
 def test_classify_full_system():
     for name in ("A2", "B2", "G2", "D4"):
         system = build(name)
@@ -331,6 +366,10 @@ class _A1xA1:
 
     def root_fundamental(self, i):
         return ((2, 0), (0, 2))[i]
+
+    def __str__(self):
+        # A stable test id; the default repr carries a memory address.
+        return "A1xA1"
 
 
 def test_lemma_checks_fail_on_reducible_input():
