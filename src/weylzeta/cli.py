@@ -1,5 +1,8 @@
 """Command-line surface: spectra, polynomials, efficiency, verification.
 
+A --cache hit checks the file's sha256 trailer and header, then serves the
+stored rows up to the bound as text, without parsing the table.
+
 Exit codes: 0 on success (and on an all-PASS ledger), 1 when a
 verification fails, 2 on usage errors including malformed group
 strings, weights, and flag combinations, and on file-system errors
@@ -9,6 +12,8 @@ such as an --out path in a missing directory.
 from __future__ import annotations
 
 import argparse
+import bisect
+import functools
 import hashlib
 import os
 import re
@@ -107,28 +112,43 @@ def _unsealed(text: str) -> str:
     return body
 
 
-def _cached_table(spec: GroupSpec, variant: str, bound: int,
-                  directory: Path | None) -> DegreeTable:
+def _served(body: str, canonical: str, variant: str, bound: int) -> str:
+    """The stored table text (rows sorted by dimension) cut at bound.
+
+    ValueError unless the header covers the request and every row is
+    <digits>\t<digits>: deleting the digits leaves only tab-newline pairs,
+    and no tab touches a line boundary.
+    """
+    header, _, rows = body.partition("\n")
+    m = DegreeTable._HEADER.match(header)
+    marks = rows.encode().translate(None, b"0123456789")
+    if not (m and m[1] == canonical and m[2] == variant and int(m[3]) >= bound
+            and marks.count(b"\t\n") * 2 == len(marks)
+            and "\t\n" not in rows and "\n\t" not in "\n" + rows):
+        raise ValueError("cache file does not hold the requested table")
+    lines = rows.splitlines(keepends=True)
+    cut = bisect.bisect_right(lines, bound, key=lambda ln: int(ln[:ln.index("\t")]))
+    return DegreeTable.header(canonical, variant, bound) + "".join(lines[:cut])
+
+
+def _cached_text(spec: GroupSpec, variant: str, bound: int,
+                 directory: Path | None) -> str:
     fn = zeta_coefficients if variant == "zeta" else zeta_star_coefficients
     if directory is None:
-        return fn(spec, bound)
+        return fn(spec, bound).to_text()
     canonical = spec.canonical()
     path = _cache_path(directory, canonical, variant)
     try:
-        table = DegreeTable.from_text(_unsealed(path.read_text()))
+        return _served(_unsealed(path.read_text()), canonical, variant, bound)
     except (OSError, ValueError):
         pass
-    else:
-        if (table.group == canonical and table.variant == variant
-                and table.bound >= bound):
-            return table.truncated(bound)
-    table = fn(spec, bound)
+    text = fn(spec, bound).to_text()
     # write beside the target and rename, so no reader sees half a table
     directory.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(_sealed(table.to_text()))
+    tmp.write_text(_sealed(text))
     os.replace(tmp, path)
-    return table
+    return text
 
 
 # -- subcommands -----------------------------------------------------------
@@ -162,8 +182,7 @@ def _cmd_zeta(args, variant: str) -> int:
     spec = _parse_group(args.group)
     if args.max_dim < 1:
         raise ValueError("--max-dim must be positive")
-    table = _cached_table(spec, variant, args.max_dim, _cache_dir(args))
-    text = table.to_text()
+    text = _cached_text(spec, variant, args.max_dim, _cache_dir(args))
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -246,6 +265,7 @@ def _cmd_verify(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylzeta",

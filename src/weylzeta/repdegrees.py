@@ -368,12 +368,14 @@ class DegreeTable:
         r"^#\s*weylzeta v1 group=(\S+) variant=(zeta|zeta_star) maxdim=(\d+)\s*$"
     )
 
+    @staticmethod
+    def header(group: str, variant: str, bound: int) -> str:
+        """The first line of a table's text, which _HEADER reads back."""
+        return f"# weylzeta v1 group={group} variant={variant} maxdim={bound}\n"
+
     def to_text(self) -> str:
-        lines = [f"# weylzeta v1 group={self.group} variant={self.variant} maxdim={self.bound}"]
-        for d in sorted(self.counts):
-            if self.counts[d]:
-                lines.append(f"{d}\t{self.counts[d]}")
-        return "\n".join(lines) + "\n"
+        rows = (f"{d}\t{c}\n" for d, c in sorted(self.counts.items()) if c)
+        return self.header(self.group, self.variant, self.bound) + "".join(rows)
 
     @classmethod
     def from_text(cls, text: str) -> "DegreeTable":
@@ -388,14 +390,6 @@ class DegreeTable:
             d, c = ln.split("\t")
             counts[int(d)] = int(c)
         return cls(m.group(1), m.group(2), int(m.group(3)), counts)
-
-    def truncated(self, bound: int) -> "DegreeTable":
-        if bound > self.bound:
-            raise ValueError("cannot extend a table by truncation")
-        return DegreeTable(
-            self.group, self.variant, bound,
-            {d: c for d, c in self.counts.items() if d <= bound},
-        )
 
 
 # -- center-graded Dirichlet convolution -----------------------------------

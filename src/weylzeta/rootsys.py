@@ -252,14 +252,6 @@ class RootSystem:
             sum(self.cartan_matrix[j][i] * x[j] for j in range(n)) for i in range(n)
         )
 
-    def weight_to_ambient(self, lam) -> Vector:
-        vec = [Fraction(0)] * self.ambient_dim
-        for c, w in zip(lam, self.fundamental_weights):
-            if c:
-                for r in range(self.ambient_dim):
-                    vec[r] += c * w[r]
-        return tuple(vec)
-
     def root_basis_numerators(self, lam) -> tuple[int, ...]:
         """det(C) times the coordinates of a weight in the simple-root basis."""
         return tuple(
@@ -399,13 +391,6 @@ class Subsystem:
     @property
     def num_positive(self) -> int:
         return len(self.pos_indices)
-
-    def positive_vectors(self) -> list[Vector]:
-        return [self.parent.positive_roots[i] for i in sorted(self.pos_indices)]
-
-    def vectors(self) -> list[Vector]:
-        pos = self.positive_vectors()
-        return pos + [tuple(-x for x in v) for v in pos]
 
     def is_closed(self) -> bool:
         """Sum closure: a, b in S and a + b a root imply a + b in S."""

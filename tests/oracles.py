@@ -3,16 +3,18 @@
 Each function here is a slower or older definition kept out of the
 package: the subspace search for full subsystems, the per-root spanning
 test, the Fraction-vector closure test, the GF(2) elimination for
-spanning the dual of F_2^3, and helpers only the tests call.
+spanning the dual of F_2^3, the truncation of a parsed degree table
+that cache hits are compared against, and helpers only the tests call.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import compress
 from operator import mul
 
 from weylzeta._linalg import annihilator, echelon
-from weylzeta.repdegrees import GroupSpec, dim_irrep
+from weylzeta.repdegrees import DegreeTable, GroupSpec, dim_irrep
 from weylzeta.rootsys import RootSystem, Subsystem, _vadd, build
 
 
@@ -74,12 +76,28 @@ def spanning_check(system: RootSystem) -> bool:
     return True
 
 
+def weight_to_ambient(system: RootSystem, lam) -> tuple:
+    """The weight with fundamental-weight coordinates lam, as an ambient vector."""
+    vec = [Fraction(0)] * system.ambient_dim
+    for c, w in zip(lam, system.fundamental_weights):
+        if c:
+            for r in range(system.ambient_dim):
+                vec[r] += c * w[r]
+    return tuple(vec)
+
+
+def subsystem_vectors(sub: Subsystem) -> list[tuple]:
+    """The subsystem's roots as ambient Fraction vectors, positive ones first."""
+    pos = [sub.parent.positive_roots[i] for i in sorted(sub.pos_indices)]
+    return pos + [tuple(-x for x in v) for v in pos]
+
+
 def is_closed(sub: Subsystem) -> bool:
     """Sum closure: a, b in S and a + b a root imply a + b in S.
 
     Every ordered pair of the subsystem's ambient Fraction vectors is added.
     """
-    vecs = sub.vectors()
+    vecs = subsystem_vectors(sub)
     members = set(vecs)
     for a in vecs:
         for b in vecs:
@@ -142,3 +160,13 @@ def recover_factor_sizes(coeffs) -> list[int]:
         for j in range(k, K + 1):
             current[j] += current[j - k]
     return sorted(sizes)
+
+
+def truncated(table: DegreeTable, bound: int) -> DegreeTable:
+    """The table's counts of dimension <= bound, as a table up to bound."""
+    if bound > table.bound:
+        raise ValueError("cannot extend a table by truncation")
+    return DegreeTable(
+        table.group, table.variant, bound,
+        {d: c for d, c in table.counts.items() if d <= bound},
+    )

@@ -2,8 +2,19 @@
 
 import pytest
 
-from weylzeta.cli import CACHE_ENV, MAX_RANK, _cache_path, _sealed, _unsealed, main
+from weylzeta import cli
+from weylzeta.cli import (
+    CACHE_ENV,
+    MAX_RANK,
+    _build_parser,
+    _cache_path,
+    _sealed,
+    _unsealed,
+    main,
+)
 from weylzeta.repdegrees import DegreeTable
+
+from oracles import truncated
 
 
 def run(capsys, *argv):
@@ -193,6 +204,95 @@ def test_cache_trailer_checks_body():
                 sealed + "4\t1\n", ""):
         with pytest.raises(ValueError):
             _unsealed(bad)
+
+
+@pytest.mark.parametrize("command, group, key", [
+    ("zeta", "A2:sc", ("A2:adjoint", "zeta")),
+    ("zeta-star", "A2:sc", ("A2:sc", "zeta")),
+])
+def test_cache_header_must_name_the_key(tmp_path, capsys, command, group, key):
+    # a sealed table for another group or variant under this key's file name
+    cache = tmp_path / "cache"
+    _, fresh, _ = run(capsys, command, "--group", group, "--max-dim", "40")
+    run(capsys, "zeta", "--group", key[0], "--max-dim", "80", "--cache", str(cache))
+    [other] = cache.iterdir()
+    path = _cache_path(cache, "A2:sc", command.replace("-", "_"))
+    other.rename(path)
+    code, out, _ = run(capsys, command, "--group", group, "--max-dim", "40",
+                       "--cache", str(cache))
+    assert (code, out) == (0, fresh)
+    assert path.read_text() == _sealed(fresh)
+
+
+@pytest.mark.parametrize("row", [
+    "3\tx", "3\t2\t1", "3", "", "\t2", "3\t", "3 \t2", "-3\t2", "+3\t2",
+    "3\t\u0662", "3\t2\r", "3\t2\x0b4\t1",
+], ids=repr)
+@pytest.mark.parametrize("where", ["3\t2", "15\t4"], ids=["served", "beyond_bound"])
+def test_cache_malformed_row_is_a_miss(tmp_path, capsys, row, where):
+    # a resealed body whose rows are not all integer pairs, inside or beyond
+    # the requested bound, is recomputed and rewritten, never a traceback
+    cache = tmp_path / "cache"
+    run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "20", "--cache", str(cache))
+    path = _cache_path(cache, "A2:sc", "zeta")
+    body = _unsealed(path.read_text())
+    assert f"\n{where}\n" in body
+    path.write_text(_sealed(body.replace(f"\n{where}\n", f"\n{row}\n")))
+    _, fresh, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10")
+    code, out, err = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10",
+                         "--cache", str(cache))
+    assert (code, out, err) == (0, fresh, "")
+    assert path.read_text() == _sealed(fresh)
+
+
+@pytest.mark.parametrize("group", [
+    "A1:sc", "A2:adjoint", "A1xA1:cosets[0,0;1/2,1/2]", "G2xA2:sc", "D4:sc",
+])
+@pytest.mark.parametrize("command", ["zeta", "zeta-star"])
+def test_cache_hit_matches_fresh_table(tmp_path, capsys, monkeypatch, command, group):
+    top = 300
+    cache = tmp_path / "cache"
+    run(capsys, command, "--group", group, "--max-dim", str(top), "--cache", str(cache))
+    [path] = cache.glob("*.tsv")
+    stored = path.read_text()
+    table = DegreeTable.from_text(_unsealed(stored))
+    fresh = [run(capsys, command, "--group", group, "--max-dim", str(b))[1]
+             for b in range(1, top + 1)]
+
+    def no_compute(*args):
+        raise AssertionError("a cache hit computed the table")
+
+    monkeypatch.setattr(cli, "zeta_coefficients", no_compute)
+    monkeypatch.setattr(cli, "zeta_star_coefficients", no_compute)
+    for b in range(1, top + 1):
+        code, out, _ = run(capsys, command, "--group", group, "--max-dim", str(b),
+                           "--cache", str(cache))
+        assert code == 0
+        assert out == fresh[b - 1] == truncated(table, b).to_text(), b
+    assert path.read_text() == stored
+
+
+def test_parser_reused_across_calls(tmp_path, capsys):
+    target = tmp_path / "table.tsv"
+    first = ("zeta", "--group", "A2:sc", "--max-dim", "30", "--out", str(target))
+    calls = [
+        first,
+        first[:-2],  # no --out: prints, so no value stays from the last call
+        ("zeta", "--group", "A2:sc"),  # missing --max-dim: exit 2
+        ("--help",),
+        first,
+    ]
+    assert _build_parser() is _build_parser()
+    reused = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
+    assert reused[0][1] == reused[4][1] == ""
+    assert target.read_text() == reused[1][1]
+    assert reused[1][1].startswith("# weylzeta v1 group=A2:sc variant=zeta maxdim=30\n")
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
 
 
 def test_cache_env_default(tmp_path, capsys, monkeypatch):
