@@ -6,11 +6,11 @@ F_2^n through the parities of the a_i, so the degree counts of a
 quotient by a central subgroup are Dirichlet-series coefficients
 summed over the center characters that survive.  They come from
 repdegrees.graded_product, the one combiner behind every spectrum,
-fed the SU(2) degrees split by parity.  Starting from an integer
-trace function on F_2^3 this module builds two embeddings of F_2^3
-into F_2^n whose annihilators give quotients with identical counts at
-every dimension, while no permutation of the n factors carries one
-annihilator to the other.
+fed the closed-form SU(2) degrees of repdegrees.a1_series split by
+parity.  Starting from an integer trace function on F_2^3 this module
+builds two embeddings of F_2^3 into F_2^n whose annihilators give
+quotients with identical counts at every dimension, while no
+permutation of the n factors carries one annihilator to the other.
 
 Elements of F_2^3 and its dual are both encoded as 3-bit integers;
 the pairing is the parity of the AND.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .repdegrees import DegreeTable, graded_product
+from .repdegrees import DegreeTable, a1_series, graded_product
 from .rootsys import ensure
 
 _SPACE = range(8)
@@ -163,11 +163,8 @@ def twist(f: TraceFunction, pi) -> TraceFunction:
 
 
 # -- Dirichlet series machinery ---------------------------------------------
-
-
-def _parity_series(bound: int) -> dict[int, dict[int, int]]:
-    """SU(2) degrees by center class: 0 holds the odd ones, 1 the even."""
-    return {c: dict.fromkeys(range(1 + c, bound + 1, 2), 1) for c in (0, 1)}
+# The SU(2) series by center class are the engine's closed form for A1,
+# repdegrees.a1_series with 2 classes: 0 holds the odd dimensions, 1 the even.
 
 
 def dirichlet_coeffs(O: int, E: int, bound: int) -> list[int]:
@@ -182,9 +179,8 @@ def dirichlet_coeffs(O: int, E: int, bound: int) -> list[int]:
         raise ValueError("factor counts must be nonnegative")
     if bound < 1:
         raise ValueError("bound must be positive")
-    counts = graded_product(
-        (0,) * (O + E), {0: _parity_series(bound)}, [(1,) * O + (0,) * E], bound
-    )
+    su2 = {0: dict(enumerate(a1_series(bound, 2)))}
+    counts = graded_product((0,) * (O + E), su2, [(1,) * O + (0,) * E], bound)
     return [counts.get(d, 0) for d in range(bound + 1)]
 
 
@@ -202,7 +198,8 @@ def quotient_zeta(hom: SignHom, bound: int) -> DegreeTable:
     summed factorization counts over the 8 image characters.
     """
     characters = [tuple(_dot(y, x) for y in hom.functionals) for x in _SPACE]
-    counts = graded_product((0,) * hom.n, {0: _parity_series(bound)}, characters, bound)
+    su2 = {0: dict(enumerate(a1_series(bound, 2)))}
+    counts = graded_product((0,) * hom.n, su2, characters, bound)
     return DegreeTable(group_string(hom), "zeta", bound, counts)
 
 

@@ -10,14 +10,15 @@ counted once per center class (the class of the highest weight modulo the
 root lattice), and the spectrum of the group is the sum, over the class
 tuples its lattice allows, of the Dirichlet products of those series.
 
-One walk, _factor_spectrum, visits a factor's dominant weights up to the
-bound, once each, for the spectra and for enumerate_dominant alike.  It
-works incrementally: raising one coordinate adds a coroot column to the
-kept pairings <lam + rho, beta^vee> and moves the center class one step,
-so a weight costs one product of |Phi+| integers and builds no tuple.  For
-zeta_star, one sieve flags the coordinate gcds a prime = 1 mod N divides;
-the same sieve lists the smooth numbers of the Euler check.  allowable and
-in_lattice remain as the per-weight definitions the tests compare against.
+An A1 factor's series are written down in closed form by a1_series, which
+gassmann's SU(2) quotients use too.  Factors of rank >= 2 and
+enumerate_dominant go through one walk, _factor_spectrum, that visits the
+dominant weights up to the bound once each, incrementally: raising one
+coordinate adds a coroot column to the kept pairings <lam + rho, beta^vee>
+and steps the center class, so a weight costs one product of |Phi+|
+integers.  For zeta_star, one sieve flags the coordinate gcds a prime
+= 1 mod N divides; the same sieve lists the smooth numbers of the Euler
+check.  allowable and in_lattice remain as the per-weight definitions.
 """
 
 from __future__ import annotations
@@ -290,11 +291,6 @@ def N_of(spec: GroupSpec) -> int:
     return math.factorial(sum(2 * build(fr).num_positive for fr in spec.factors))
 
 
-def allowable_at(R: RootSystem, lam, p: int) -> bool:
-    """False iff every coordinate of lam + rho is divisible by p."""
-    return not all((c + 1) % p == 0 for c in lam)
-
-
 def _prime_divisors(n: int) -> list[int]:
     out = []
     d = 2
@@ -446,14 +442,31 @@ def graded_product(factors, graded, tuples, bound: int) -> Series:
     return dict(total)
 
 
+def a1_series(bound: int, m: int, hit=None) -> list[Series]:
+    """The degrees of SU(2) up to bound, one series per center class, no walk.
+
+    The weight with shifted coordinate t has dimension t, and raising it steps
+    the class, so with m classes in step order from the zero class, class j
+    holds each t = j + 1 mod m once.  t is also the coordinate gcd, so a
+    strip sieve hit from _sieve drops every t it flags.
+    """
+    series = []
+    for j in range(m):
+        ts = range(j + 1, bound + 1, m)
+        if hit is not None:
+            ts = compress(ts, hit[j + 1::m].translate(bytes.maketrans(b"\0\1", b"\1\0")))
+        series.append(dict.fromkeys(ts, 1))
+    return series
+
+
 def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
     """Degree counts up to D; star keeps the weights no prime = 1 mod N strips.
 
     Each distinct factor's weights are counted once, by center class, as the
-    walk visits them.  A weight's shifted coordinates are g times positive
-    integers, so its dimension is at least g ** |Phi+| for their gcd g; the
-    strip flags are sieved only that far, and not at all when no prime
-    = 1 mod N (each exceeds N) is that small.
+    walk visits them, or in closed form for A1.  A weight's shifted
+    coordinates are g times positive integers, so its dimension is at least
+    g ** |Phi+| for their gcd g; the strip flags are sieved only that far,
+    and not at all when no prime = 1 mod N (each exceeds N) is that small.
     """
     N = N_of(spec) if star else None
     graded: dict[FamilyRank, dict[tuple, Series]] = {}
@@ -461,12 +474,15 @@ def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
         gmax = _iroot(D, build(fr).num_positive)
         hit = _sieve(gmax, N)[0] if star and gmax > N else None
         classes = _center_steps(fr, spec.kind)[0]
-        counts: list[Series] = [{} for _ in classes]
-        for d, c, shifted in _factor_spectrum(fr, D, spec.kind):
-            if hit is None or not hit[math.gcd(*shifted)]:
-                series = counts[c]
-                series[d] = series.get(d, 0) + 1
-        graded[fr] = {cls: series for cls, series in zip(classes, counts) if series}
+        if fr.rank == 1:
+            counts = a1_series(D, len(classes), hit)
+        else:
+            counts = [{} for _ in classes]
+            for d, c, shifted in _factor_spectrum(fr, D, spec.kind):
+                if hit is None or not hit[math.gcd(*shifted)]:
+                    series = counts[c]
+                    series[d] = series.get(d, 0) + 1
+        graded[fr] = dict(zip(classes, counts))
     return graded_product(spec.factors, graded, _allowed_classes(spec), D)
 
 

@@ -191,7 +191,6 @@ class RootSystem:
             tuple(Fraction(sum(map(mul, c, col)), den) for col in ambient)
             for c in self.root_coords
         )
-        self._pos_index = {v: i for i, v in enumerate(self.positive_roots)}
 
         # beta = sum c_i alpha_i has coroot coordinates c_i |alpha_i|^2 / |beta|^2
         coroots = []
@@ -258,18 +257,10 @@ class RootSystem:
             sum(x * c for x, c in zip(row, lam)) for row in self._inv_cartan_t_num
         )
 
-    def root_basis_coords(self, lam) -> tuple[Fraction, ...]:
-        """Coordinates of a weight in the simple-root basis."""
-        d = self.cartan_det
-        return tuple(Fraction(x, d) for x in self.root_basis_numerators(lam))
-
     def center_class(self, lam) -> tuple[int, ...]:
         """Class of a weight modulo the root lattice: its numerators mod det(C)."""
         d = self.cartan_det
         return tuple(x % d for x in self.root_basis_numerators(lam))
-
-    def is_root(self, vec: Vector) -> bool:
-        return vec in self._pos_index or tuple(-x for x in vec) in self._pos_index
 
     def __repr__(self):
         return f"RootSystem({self.id})"
@@ -327,11 +318,6 @@ def weyl_orbit_equal(system: RootSystem, v1, v2) -> bool:
     d1, _, _ = _reduce_to_dominant(system, v1)
     d2, _, _ = _reduce_to_dominant(system, v2)
     return d1 == d2
-
-
-def in_root_lattice(system: RootSystem, v) -> bool:
-    """True iff the weight v is an integer combination of roots."""
-    return not any(system.center_class(v))
 
 
 def _signed_index(system) -> dict[tuple[int, ...], int]:

@@ -10,6 +10,7 @@ that cache hits are compared against, and helpers only the tests call.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from operator import mul
 
@@ -76,6 +77,32 @@ def spanning_check(system: RootSystem) -> bool:
     return True
 
 
+def root_basis_coords(system: RootSystem, lam) -> tuple[Fraction, ...]:
+    """Coordinates of a weight in the simple-root basis."""
+    d = system.cartan_det
+    return tuple(Fraction(x, d) for x in system.root_basis_numerators(lam))
+
+
+def is_root(system: RootSystem, vec) -> bool:
+    """True iff the ambient vector vec is a root of the system."""
+    return vec in _positive_roots(system) or tuple(-x for x in vec) in _positive_roots(system)
+
+
+@lru_cache(maxsize=None)
+def _positive_roots(system: RootSystem) -> frozenset:
+    return frozenset(system.positive_roots)
+
+
+def in_root_lattice(system: RootSystem, v) -> bool:
+    """True iff the weight v is an integer combination of roots."""
+    return not any(system.center_class(v))
+
+
+def allowable_at(R: RootSystem, lam, p: int) -> bool:
+    """False iff every coordinate of lam + rho is divisible by p."""
+    return not all((c + 1) % p == 0 for c in lam)
+
+
 def weight_to_ambient(system: RootSystem, lam) -> tuple:
     """The weight with fundamental-weight coordinates lam, as an ambient vector."""
     vec = [Fraction(0)] * system.ambient_dim
@@ -104,7 +131,7 @@ def is_closed(sub: Subsystem) -> bool:
             if a == b:
                 continue
             s = _vadd(a, b)
-            if any(s) and sub.parent.is_root(s) and s not in members:
+            if any(s) and is_root(sub.parent, s) and s not in members:
                 return False
     return True
 

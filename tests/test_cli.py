@@ -1,5 +1,9 @@
 """End-to-end runs of the command line through main()."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from weylzeta import cli
@@ -408,3 +412,20 @@ def test_verify_fast_ledger(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 9
     assert all(ln.startswith("PASS ") for ln in lines)
+
+
+# -- stdout pinned by the benchmark's reference hashes -------------------------
+
+_REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", sorted(
+    k for k in _REFERENCE if k.split()[0] in ("zeta", "zeta-star", "gassmann")))
+def test_stdout_matches_reference_hash(capsys, key):
+    # every spectrum job the benchmark runs, full size, against the sha256 of
+    # its stdout recorded from trusted code; the reference file is only read
+    code, out, err = run(capsys, *key.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _REFERENCE[key]

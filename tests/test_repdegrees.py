@@ -11,11 +11,12 @@ from weylzeta.repdegrees import (
     FamilyRank,
     GroupSpec,
     N_of,
+    a1_series,
     allowable,
-    allowable_at,
     dim_irrep,
     enumerate_dominant,
     euler_identity_check,
+    graded_product,
     in_lattice,
     prime_power_scan,
     zeta_coefficients,
@@ -32,7 +33,13 @@ from weylzeta.repdegrees import (
 )
 from weylzeta.rootsys import all_types, build
 
-from oracles import dim_irrep_product, recover_factor_sizes, truncated
+from oracles import (
+    allowable_at,
+    dim_irrep_product,
+    recover_factor_sizes,
+    root_basis_coords,
+    truncated,
+)
 
 H = Fraction(1, 2)
 SO4 = GroupSpec.parse("A1xA1:cosets[0,0;1/2,1/2]")
@@ -332,7 +339,7 @@ def test_engine_matches_enumeration(text, bound, variant):
 def _in_lattice_by_definition(spec, lam):
     coords = []
     for fr, (a, b) in zip(spec.factors, spec.slices()):
-        coords += build(fr).root_basis_coords(lam[a:b])
+        coords += root_basis_coords(build(fr), lam[a:b])
     if spec.kind == "adjoint":
         return all(c.denominator == 1 for c in coords)
     return spec.kind == "sc" or tuple(c % 1 for c in coords) in spec.cosets
@@ -367,6 +374,73 @@ def test_engine_zeta_star_strips_products():
     assert (full[73], full[146]) == (2, 4)
     assert 73 not in star and 146 not in star
     assert star[72] == full[72]
+
+
+# -- A1 factors in closed form against the walk -------------------------------
+
+A1 = FamilyRank("A", 1)
+
+
+@pytest.mark.parametrize("N", [None, 2, 24])
+@pytest.mark.parametrize("kind", ["sc", "adjoint", "cosets"])
+def test_a1_series_matches_walk(kind, N):
+    # the walk's counts by class, dropping the weights whose coordinate gcd
+    # the sieve flags, as _spectrum does for factors of rank >= 2
+    rng = random.Random(f"{kind}{N}")
+    classes = _center_steps(A1, kind)[0]
+    for bound in [0, 1, 2, 3] + [rng.randint(4, 5000) for _ in range(8)]:
+        hit = _sieve(bound, N)[0] if N else None
+        expect = [{} for _ in classes]
+        for d, c, shifted in _factor_spectrum(A1, bound, kind):
+            if hit is None or not hit[math.gcd(*shifted)]:
+                expect[c][d] = expect[c].get(d, 0) + 1
+        assert a1_series(bound, len(classes), hit) == expect, bound
+
+
+A1_ENGINE_CASES = [
+    ("A1xA1:sc", 800),  # N = 24: the primes 73, 97, 193, ... strip
+    ("A1xA2:sc", 3000),
+    ("A1xG2:adjoint", 5000),
+    ("A1xA1xA1:cosets[0,0,0;1/2,1/2,1/2]", 600),
+    ("A1xA1xA1:cosets[0,0,0;1/2,1/2,0;1/2,0,1/2;0,1/2,1/2]", 600),
+]
+
+
+@pytest.mark.parametrize("variant", ["zeta", "zeta_star"])
+@pytest.mark.parametrize("text,bound", A1_ENGINE_CASES)
+def test_engine_with_a1_factors_matches_enumeration(text, bound, variant):
+    spec = GroupSpec.parse(text)
+    expect: dict[int, int] = {}
+    for lam, d in enumerate_dominant(spec, bound):
+        if variant == "zeta" or allowable(spec, lam):
+            expect[d] = expect.get(d, 0) + 1
+    fn = zeta_coefficients if variant == "zeta" else zeta_star_coefficients
+    assert fn(spec, bound).counts == expect
+
+
+@pytest.mark.parametrize("bound", [1, 2, 60, 500])
+def test_graded_product_matches_sum_over_tuples(bound):
+    # repeated (factor, class) pairs are raised to a power and empty or
+    # too-large tuples are skipped; the definition multiplies out every
+    # tuple factor by factor
+    rng = random.Random(bound)
+    graded = {key: {c: _random_series(rng, bound, 0.3) or {1: 1} for c in range(3)}
+              for key in "ab"}
+    factors = ("a", "a", "b", "a")
+    tuples = set(itertools.product(range(3), repeat=4))
+    for _ in range(5):
+        chosen = rng.sample(sorted(tuples), 12)
+        chosen += [(1, 0, 2, 1), (1, 1, 2, 0), (0, 1, 2, 1)]
+        expect: dict[int, int] = {}
+        for classes in set(chosen):
+            product = {1: 1}
+            for key, c in zip(factors, classes):
+                product = _pair_loop(product, graded[key][c], bound)
+            for d, v in product.items():
+                expect[d] = expect.get(d, 0) + v
+        expect = {d: v for d, v in expect.items() if v}
+        got = graded_product(factors, graded, set(chosen), bound)
+        assert {d: v for d, v in got.items() if v} == expect
 
 
 # -- the factor walk and the sieve against their definitions -----------------

@@ -8,7 +8,6 @@ from weylzeta.rootsys import (
     all_types,
     build,
     classify_subsystem,
-    in_root_lattice,
     orthogonal_subsystem,
     weyl_orbit_equal,
 )
@@ -24,6 +23,8 @@ from weylzeta.weylpoly import (
     proportionality,
     weyl_polynomial,
 )
+
+from oracles import in_root_lattice
 
 F = Fraction
 
