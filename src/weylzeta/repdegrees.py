@@ -19,6 +19,9 @@ and steps the center class, so a weight costs one product of |Phi+|
 integers.  For zeta_star, one sieve flags the coordinate gcds a prime
 = 1 mod N divides; the same sieve lists the smooth numbers of the Euler
 check.  allowable and in_lattice remain as the per-weight definitions.
+Equal series in one product are raised to a power by squaring or, for a
+dense series and a high power, in one pass (see _dirichlet_pow), whose
+Omega table comes from the same prime sieve.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import lru_cache, reduce
 from itertools import compress, islice
 from operator import add
 
-from .rootsys import FamilyRank, RootSystem, build
+from .rootsys import FamilyRank, RootSystem, build, ensure
 
 Weight = tuple[int, ...]
 
@@ -332,20 +335,41 @@ def _iroot(x: int, k: int) -> int:
     return lo
 
 
+def _primes(limit: int) -> bytearray:
+    """prime[n] is 1 iff n is prime, for 0 <= n <= limit (Eratosthenes)."""
+    prime = bytearray([1]) * (limit + 1)
+    prime[:2] = bytes(min(2, limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return prime
+
+
 def _sieve(limit: int, N: int) -> tuple[bytearray, bytearray]:
     """Prime divisors of each 1 <= g <= limit, sorted by residue mod N.
 
     Returns (hit, miss): hit[g] is 1 iff a prime = 1 mod N divides g, and
     miss[g] is 1 iff a prime that is not = 1 mod N does.
     """
-    prime = bytearray([1]) * (limit + 1)
-    for p in range(2, math.isqrt(limit) + 1):
-        if prime[p]:
-            prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
     hit, miss = bytearray(limit + 1), bytearray(limit + 1)
-    for p in compress(range(2, limit + 1), prime[2:]):
+    for p in compress(range(limit + 1), _primes(limit)):
         (hit if p % N == 1 else miss)[p::p] = b"\x01" * (limit // p)
     return hit, miss
+
+
+_INCREMENT = bytes(range(1, 256)) + b"\0"  # a bytes.translate table: n -> n + 1
+
+
+def _omega(limit: int) -> bytearray:
+    """Omega(n), the number of prime factors of n counted with multiplicity,
+    for 0 <= n <= limit: each prime power q <= limit adds one at q's multiples."""
+    omega = bytearray(limit + 1)
+    for p in compress(range(limit + 1), _primes(limit)):
+        q = p
+        while q <= limit:
+            omega[q::q] = omega[q::q].translate(_INCREMENT)
+            q *= p
+    return omega
 
 
 # -- spectra ---------------------------------------------------------------
@@ -393,6 +417,11 @@ class DegreeTable:
 Series = dict[int, int]  # dimension -> count, zero counts omitted
 
 
+def _series(dense: list[int]) -> Series:
+    """The nonzero entries of a list indexed by dimension, in increasing order."""
+    return dict(zip(compress(range(len(dense)), dense), compress(dense, dense)))
+
+
 def _dirichlet_mul(a: Series, b: Series, bound: int) -> Series:
     """Dirichlet product up to bound; a square (a is b) sums each pair i <= j once."""
     out = [0] * (bound + 1)
@@ -409,17 +438,71 @@ def _dirichlet_mul(a: Series, b: Series, bound: int) -> Series:
             if j > limit:
                 break
             out[i * j] += ai * bj
-    return {d: c for d, c in enumerate(out) if c}
+    return _series(out)
 
 
 def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
-    """base ** k for k >= 1, squaring from the top bit down (only O(bound) alive)."""
+    """base ** k for k >= 1, up to bound, by one of two exact paths.
+
+    Square-and-multiply squares from the top bit of k down, with only
+    O(bound) alive.  The one-pass path rests on Omega, the number of prime
+    factors counted with multiplicity: it is completely additive, so
+    D(f)(n) = Omega(n) f(n) is a derivation of Dirichlet convolution, and
+    g = f ** k satisfies f D(g) = k g D(f).  At m, with c = f(1):
+
+        c Omega(m) g(m) = sum over m = e d, d > 1, of
+                          f(d) g(e) (k Omega(d) - Omega(e)),
+
+    so one walk over m = 1..bound, from g(1) = c ** k, divides out each
+    g(m) (exactly, checked) and pushes its terms to its multiples m d.
+    The one pass needs an Omega table and a dense accumulator, O(bound)
+    work and memory that no squaring of a sparse base spends.
+
+    The rule reads only k, len(base), bound and c: one pass iff c != 0,
+    the base is dense (len(base) * 64 >= bound), and square-and-multiply
+    would cost at least four squarings, a multiply by the base counting
+    as two (it visits ordered pairs, a square unordered ones).  That
+    leaves square-and-multiply k = 1, 2, 3, 4 and 8.  Measured on the odd
+    dimensions (density 1/2) at 20,000, minimum of 7 alternating runs,
+    square-and-multiply against one pass in ms: k = 2: 4.0 / 11.8,
+    k = 3: 15.8 / 15.0, k = 4: 7.8 / 11.8, k = 5: 15.5 / 13.6,
+    k = 8: 12.8 / 13.5, k = 16: 18.3 / 13.5, k = 128: 30.5 / 14.8.  At
+    densities 1/64 to 1/4096 (bounds 2 * 10^4 to 10^6) the two paths are
+    even at k = 16, and square-and-multiply is 1.6-1.8x faster at k = 3.
+    """
+    c = base.get(1)
+    # (bit_length - 1) squarings + 2 * (bit_count - 1) multiplies >= 4
+    if c and k.bit_length() + 2 * k.bit_count() >= 7 and len(base) * 64 >= bound:
+        return _one_pass_pow(base, k, bound, c)
     result = base
     for bit in bin(k)[3:]:
         result = _dirichlet_mul(result, result, bound)
         if bit == "1":
             result = _dirichlet_mul(result, base, bound)
     return result
+
+
+def _one_pass_pow(base: Series, k: int, bound: int, c: int) -> Series:
+    """base ** k by the Omega-derivation recurrence of _dirichlet_pow; c = base[1]."""
+    omega = _omega(bound)
+    terms = [(d, fd, k * omega[d]) for d, fd in sorted(base.items()) if 1 < d <= bound]
+    g = [0] * (bound + 1)  # the pushed sum at m until the walk reaches m, then g(m)
+    g[1] = c**k
+    for m in range(1, bound + 1):
+        gm = g[m]
+        if not gm:
+            continue
+        om = omega[m]
+        if om:
+            gm, r = divmod(gm, c * om)
+            ensure(not r, f"the recurrence divides exactly at {m}")
+            g[m] = gm
+        limit = bound // m
+        for d, fd, kod in terms:
+            if d > limit:
+                break
+            g[m * d] += gm * fd * (kod - om)
+    return _series(g)
 
 
 def graded_product(factors, graded, tuples, bound: int) -> Series:
@@ -431,14 +514,16 @@ def graded_product(factors, graded, tuples, bound: int) -> Series:
     when even its smallest degree, the product of the least dimensions,
     exceeds the bound.
     """
+    least = {(key, c): min(s) for key in set(factors) for c, s in graded[key].items() if s}
     total: Counter = Counter()
     for classes in tuples:
         groups = Counter(zip(factors, classes)).items()
-        parts = [(graded[key].get(c), k) for (key, c), k in groups]
-        if not all(s for s, _ in parts) or math.prod(min(s) ** k for s, k in parts) > bound:
+        if any(pair not in least for pair, _ in groups):
+            continue  # a factor has no weight of that class
+        if math.prod(least[pair] ** k for pair, k in groups) > bound:
             continue
-        powers = [_dirichlet_pow(s, k, bound) for s, k in parts] or [{1: 1}]
-        total.update(reduce(lambda a, b: _dirichlet_mul(a, b, bound), powers))
+        powers = [_dirichlet_pow(graded[key][c], k, bound) for (key, c), k in groups]
+        total.update(reduce(lambda a, b: _dirichlet_mul(a, b, bound), powers or [{1: 1}]))
     return dict(total)
 
 

@@ -4,7 +4,8 @@ Each function here is a slower or older definition kept out of the
 package: the subspace search for full subsystems, the per-root spanning
 test, the Fraction-vector closure test, the GF(2) elimination for
 spanning the dual of F_2^3, the truncation of a parsed degree table
-that cache hits are compared against, and helpers only the tests call.
+that cache hits are compared against, the Dirichlet product and power
+by their definitions, and helpers only the tests call.
 """
 
 from __future__ import annotations
@@ -197,3 +198,23 @@ def truncated(table: DegreeTable, bound: int) -> DegreeTable:
         table.group, table.variant, bound,
         {d: c for d, c in table.counts.items() if d <= bound},
     )
+
+
+def pair_loop(a, b, bound):
+    """The Dirichlet product by its definition: every ordered pair once."""
+    out = {}
+    for i, ai in a.items():
+        for j, bj in b.items():
+            if i * j <= bound:
+                out[i * j] = out.get(i * j, 0) + ai * bj
+    return {d: c for d, c in sorted(out.items()) if c}
+
+
+def dirichlet_pow(base, k: int, bound: int):
+    """base ** k for k >= 1 by square-and-multiply over pair_loop."""
+    result = base
+    for bit in bin(k)[3:]:
+        result = pair_loop(result, result, bound)
+        if bit == "1":
+            result = pair_loop(result, base, bound)
+    return result

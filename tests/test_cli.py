@@ -318,6 +318,15 @@ def test_type_rank_cap(capsys):
     assert (code, out.strip()) == (0, str(MAX_RANK + 1))
 
 
+def test_gassmann_degree_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DEGREE", 40)
+    code, out, err = run(capsys, "gassmann", "--max-degree", "41")
+    assert (code, out) == (2, "")
+    assert "limit of 40" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "gassmann", "--max-degree", "40")
+    assert (code, out.splitlines()[-1]) == (0, "PASS")
+
+
 def test_group_rank_cap(capsys):
     big = MAX_RANK + 1
     coset = ",".join(["0"] * (big + 1))

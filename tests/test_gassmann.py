@@ -263,10 +263,11 @@ def _odd_tuple_count(d: int, n: int) -> int:
 
 def test_quotient_zeta_default_closed_form():
     hom = build_sign_hom(build_trace(DEFAULT_TRACE))
-    table = quotient_zeta(hom, 200)
-    for d in range(1, 201):
-        expect = _odd_tuple_count(d, 128) if d % 2 else 0
-        assert table.counts.get(d, 0) == expect
+    for bound in (200, 3000):
+        table = quotient_zeta(hom, bound)
+        for d in range(1, bound + 1):
+            expect = _odd_tuple_count(d, 128) if d % 2 else 0
+            assert table.counts.get(d, 0) == expect, (bound, d)
 
 
 def test_quotient_zeta_serialization_roundtrip():

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import primefactors
+from sympy import factorint, primefactors
 
+from weylzeta import repdegrees
 from weylzeta.repdegrees import (
     DegreeTable,
     FamilyRank,
@@ -33,6 +34,7 @@ from weylzeta.repdegrees import (
 )
 from weylzeta.rootsys import all_types, build
 
+import oracles
 from oracles import (
     allowable_at,
     dim_irrep_product,
@@ -40,6 +42,7 @@ from oracles import (
     root_basis_coords,
     truncated,
 )
+from oracles import pair_loop as _pair_loop
 
 H = Fraction(1, 2)
 SO4 = GroupSpec.parse("A1xA1:cosets[0,0;1/2,1/2]")
@@ -528,16 +531,6 @@ def test_iroot():
 # -- Dirichlet squaring ------------------------------------------------------
 
 
-def _pair_loop(a, b, bound):
-    """The Dirichlet product by its definition: every ordered pair once."""
-    out = {}
-    for i, ai in a.items():
-        for j, bj in b.items():
-            if i * j <= bound:
-                out[i * j] = out.get(i * j, 0) + ai * bj
-    return {d: c for d, c in sorted(out.items()) if c}
-
-
 def _random_series(rng, top, density):
     return {d: rng.randint(-3, 5) or 1 for d in range(1, top + 1) if rng.random() < density}
 
@@ -554,3 +547,53 @@ def test_dirichlet_square_matches_pair_loop(bound, density):
         assert square == _dirichlet_mul(a, dict(a), bound) == _pair_loop(a, a, bound)
         assert list(square) == sorted(square)
         assert _dirichlet_pow(a, 3, bound) == _pair_loop(_pair_loop(a, a, bound), a, bound)
+
+
+# -- Dirichlet powers: one pass and square-and-multiply ----------------------
+
+POWERS = [1, 2, 3, 4, 7, 8, 9, 16, 31, 128]
+
+
+@pytest.mark.parametrize("k", POWERS)
+@pytest.mark.parametrize("one", [1, 2, -3, None])
+def test_dirichlet_pow_matches_definition(k, one):
+    # dense bases with a 1-term take the one-pass recurrence at k = 7, 9, 16,
+    # 31 and 128; sparse ones, bases without a 1-term and the other k square
+    # and multiply; keys just past the bound must not matter
+    rng = random.Random(k * 10 + (one or 0))
+    for bound, density in ((1, 1.0), (2, 1.0), (150, 1.0), (150, 0.4), (2000, 0.005)):
+        for signed in (False, True):
+            base = {d: (rng.randint(-3, 5) or 1) if signed else rng.randint(1, 3)
+                    for d in range(2, bound + 4) if rng.random() < density}
+            if one is not None:
+                base = {1: one, **base}
+            if not base:
+                continue
+            got = _dirichlet_pow(base, k, bound)
+            assert got == oracles.dirichlet_pow(base, k, bound), (bound, density, signed)
+            assert list(got) == sorted(got)
+
+
+def test_dirichlet_pow_path_rule(monkeypatch):
+    # only dense bases with a 1-term, raised past four squarings' cost,
+    # build an Omega table
+    built = []
+    omega = repdegrees._omega
+    monkeypatch.setattr(repdegrees, "_omega", lambda n: built.append(n) or omega(n))
+    odd, even = a1_series(2000, 2)
+    for k in (1, 2, 3, 4, 8):
+        _dirichlet_pow(odd, k, 2000)
+    assert built == []
+    for k in (5, 6, 7, 9, 16, 128):
+        _dirichlet_pow(odd, k, 2000)
+    assert built == [2000] * 6
+    _dirichlet_pow(even, 128, 2000)
+    _dirichlet_pow({1: 1, 7: 1, 14: 1, 27: 1, 64: 2, 77: 1}, 128, 10**5)
+    zeta_coefficients(GroupSpec.parse("x".join(["G2"] * 8) + ":sc"), 10**5)
+    assert built == [2000] * 6
+
+
+def test_omega_matches_factorization():
+    omega = repdegrees._omega(3000)
+    assert len(omega) == 3001 and omega[:2] == b"\0\0"
+    assert all(omega[n] == sum(factorint(n).values()) for n in range(2, 3001))
