@@ -445,30 +445,25 @@ def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
     """base ** k for k >= 1, up to bound, by one of two exact paths.
 
     Square-and-multiply squares from the top bit of k down, with only
-    O(bound) alive.  The one-pass path rests on Omega, the number of prime
+    O(bound) alive.  The one pass rests on Omega, the number of prime
     factors counted with multiplicity: it is completely additive, so
     D(f)(n) = Omega(n) f(n) is a derivation of Dirichlet convolution, and
     g = f ** k satisfies f D(g) = k g D(f).  At m, with c = f(1):
 
-        c Omega(m) g(m) = sum over m = e d, d > 1, of
-                          f(d) g(e) (k Omega(d) - Omega(e)),
+        c Omega(m) g(m) = sum over m = e d, d > 1,
+                          of f(d) g(e) (k Omega(d) - Omega(e)),
 
     so one walk over m = 1..bound, from g(1) = c ** k, divides out each
-    g(m) (exactly, checked) and pushes its terms to its multiples m d.
-    The one pass needs an Omega table and a dense accumulator, O(bound)
-    work and memory that no squaring of a sparse base spends.
+    g(m) (exactly, checked) and pushes its terms to the multiples m d.
 
     The rule reads only k, len(base), bound and c: one pass iff c != 0,
-    the base is dense (len(base) * 64 >= bound), and square-and-multiply
+    the base is dense (len(base) * 64 >= bound) and square-and-multiply
     would cost at least four squarings, a multiply by the base counting
-    as two (it visits ordered pairs, a square unordered ones).  That
-    leaves square-and-multiply k = 1, 2, 3, 4 and 8.  Measured on the odd
-    dimensions (density 1/2) at 20,000, minimum of 7 alternating runs,
-    square-and-multiply against one pass in ms: k = 2: 4.0 / 11.8,
-    k = 3: 15.8 / 15.0, k = 4: 7.8 / 11.8, k = 5: 15.5 / 13.6,
-    k = 8: 12.8 / 13.5, k = 16: 18.3 / 13.5, k = 128: 30.5 / 14.8.  At
-    densities 1/64 to 1/4096 (bounds 2 * 10^4 to 10^6) the two paths are
-    even at k = 16, and square-and-multiply is 1.6-1.8x faster at k = 3.
+    as two (it visits ordered pairs, a square unordered ones), which
+    leaves it k = 1, 2, 3, 4 and 8.  On the odd dimensions at 20,000 (ms,
+    square-and-multiply / one pass): k = 2: 4.0 / 11.8, k = 8: 12.8 / 13.5,
+    k = 16: 18.3 / 13.5, k = 128: 30.5 / 14.8.  Sparser bases gain less
+    from one pass and pay for its O(bound) Omega table and walk.
     """
     c = base.get(1)
     # (bit_length - 1) squarings + 2 * (bit_count - 1) multiplies >= 4
@@ -514,7 +509,8 @@ def graded_product(factors, graded, tuples, bound: int) -> Series:
     when even its smallest degree, the product of the least dimensions,
     exceeds the bound.
     """
-    least = {(key, c): min(s) for key in set(factors) for c, s in graded[key].items() if s}
+    pairs = {pair for classes in tuples for pair in zip(factors, classes)}
+    least = {(key, c): min(s) for key, c in pairs if (s := graded[key].get(c))}
     total: Counter = Counter()
     for classes in tuples:
         groups = Counter(zip(factors, classes)).items()

@@ -42,7 +42,7 @@ from oracles import (
     root_basis_coords,
     truncated,
 )
-from oracles import pair_loop as _pair_loop
+from oracles import pair_loop as _pair_loop  # the name the squaring tests use
 
 H = Fraction(1, 2)
 SO4 = GroupSpec.parse("A1xA1:cosets[0,0;1/2,1/2]")
