@@ -9,6 +9,9 @@ callers need is read off in integers:
 - the rank is the number of pivots;
 - `annihilator` gives one integer vector of {x : A x = 0} per free column;
 - for a square invertible A, eliminating [A | I] leaves [d I | d A^-1].
+
+`full_rank` certifies rank n mod the prime 2^61 - 1 (a minor nonzero mod p is
+nonzero over Z); when it falls short, callers fall back to `echelon`.
 """
 
 from __future__ import annotations
@@ -52,3 +55,22 @@ def annihilator(rows, n: int) -> list[tuple[int, ...]]:
             v[c] = -row[free]
         basis.append(tuple(v))
     return basis
+
+
+_PRIME = 2**61 - 1
+
+
+def full_rank(rows, n: int) -> bool:
+    """True if n of the integer rows are independent mod the prime; stops at the n-th."""
+    basis: dict[int, list[int]] = {}  # pivot column -> reduced row, 1 at the pivot
+    for row in rows:
+        v = [x % _PRIME for x in row]
+        for c, top in basis.items():
+            if f := v[c]:
+                v = [(x - f * y) % _PRIME for x, y in zip(v, top)]
+        if (c := next((c for c, x in enumerate(v) if x), None)) is not None:
+            inv = pow(v[c], -1, _PRIME)
+            basis[c] = [x * inv % _PRIME for x in v]
+            if len(basis) == n:
+                return True
+    return False

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, islice
-from operator import add
+from operator import add, mul
 
 from .rootsys import FamilyRank, RootSystem, build, ensure
 
@@ -149,10 +149,8 @@ def dim_irrep(R: RootSystem, lam) -> int:
     """Dimension of the irreducible representation with highest weight lam."""
     if len(lam) != R.rank or any(c < 0 for c in lam):
         raise ValueError(f"weight {lam} is not dominant")
-    shifted = tuple(c + 1 for c in lam)
-    num = 1
-    for coroot in R.coroots:
-        num *= sum(c * w for c, w in zip(coroot, shifted) if c)
+    shifted = [c + 1 for c in lam]
+    num = math.prod([sum(map(mul, coroot, shifted)) for coroot in R.coroots])
     q, r = divmod(num, _delta(R.id))
     if r:
         raise ArithmeticError(f"{R.id} Weyl product of {lam} is not divisible by Delta")

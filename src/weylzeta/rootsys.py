@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import mul
 
-from ._linalg import echelon
+from ._linalg import echelon, full_rank
 
 Vector = tuple[Fraction, ...]
 Weight = tuple[int, ...]
@@ -246,10 +246,7 @@ class RootSystem:
     def root_fundamental(self, alpha_index: int) -> Weight:
         """A positive root written in the fundamental-weight basis."""
         x = self.root_coords[alpha_index]
-        n = self.rank
-        return tuple(
-            sum(self.cartan_matrix[j][i] * x[j] for j in range(n)) for i in range(n)
-        )
+        return tuple(sum(map(mul, x, column)) for column in zip(*self.cartan_matrix))
 
     def root_basis_numerators(self, lam) -> tuple[int, ...]:
         """det(C) times the coordinates of a weight in the simple-root basis."""
@@ -519,6 +516,8 @@ def quadratic_nullspace_dim(system: RootSystem) -> int:
         [c[i] * c[j] if i == j else 2 * c[i] * c[j] for i, j in unknowns]
         for c in system.root_coords
     ]
+    if full_rank(rows, len(unknowns)):
+        return 0
     return len(unknowns) - len(echelon(rows)[1])
 
 
@@ -533,7 +532,8 @@ def spanning_check(system: RootSystem) -> bool:
 
     The simple-root coordinates c of those roots span Q^n iff
     M = sum c c^T is invertible: v^T M v = sum (c.v)^2, so the kernel of M
-    is the common annihilator of the c: one n x n elimination per orbit.
+    is the common annihilator of the c: one n x n rank test per orbit,
+    certified mod a prime and settled exactly only when that falls short.
     """
     n = system.rank
     coords = system.root_coords
@@ -543,6 +543,6 @@ def spanning_check(system: RootSystem) -> bool:
         coroot = system.coroots[orbit[0]]
         keep = [sum(map(mul, coroot, f)) != 0 for f in fundamentals]
         gram = [[sum(compress(p, keep)) for p in row] for row in products]
-        if len(echelon(gram)[1]) < n:
+        if not full_rank(gram, n) and len(echelon(gram)[1]) < n:
             return False
     return True

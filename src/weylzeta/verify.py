@@ -10,7 +10,9 @@ PASS/FAIL ledger and the acceptance tests run them one per test.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from .efficiency import eff_bruteforce, eff_formula
@@ -170,23 +172,42 @@ def check_quadratic_rigidity() -> None:
         ensure(spanning_check(system), str(fr))
 
 
+def _log_cmp(part: int, dim: int, q: Fraction) -> int:
+    """Sign of log(part) / log(dim) - q, from part^v against dim^u (q = u/v, dim > 1)."""
+    if q < 0:  # the log ratio is >= 0
+        return 1
+    lhs, rhs = part ** q.denominator, dim ** q.numerator
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def check_prime_order_limit() -> None:
-    """log(p)-weighted vanishing order approaches the efficiency."""
+    """log(p)-weighted vanishing order approaches the efficiency, in integers.
+
+    x_p = ord_p(dim) log p / log dim is compared with rationals by integer
+    powers: |x_499 - eff| < 1/20, and |x_499 - eff| < r < |x_101 - eff| for an
+    r found among the mediants of the Farey neighbours 0/1 and 1/20.
+    """
     for name in ("A3", "B3", "G2", "F4"):
         system = build(name)
         pair = explicit_pair(system.id)
-        eff = float(eff_formula(name).eff)
-        errors = []
+        eff = eff_formula(name).eff
+        dims = {}
         for p in (101, 499):
-            lam = tuple(p * m + v for m, v in zip(pair.mu, pair.nu))
-            dim = dim_irrep(system, lam)
-            d, order = dim, 0
-            while d % p == 0:
-                d //= p
-                order += 1
-            errors.append(abs(math.log(p) * order / math.log(dim) - eff))
-        ensure(errors[1] < errors[0], f"{name}: {errors}")
-        ensure(errors[1] < 0.05, f"{name}: {errors[1]:.4f}")
+            dim = dim_irrep(system, tuple(p * m + v for m, v in zip(pair.mu, pair.nu)))
+            dims[p] = (math.gcd(dim, p ** dim.bit_length()), dim)  # (p^ord_p(dim), dim)
+        cmp = lambda p, q: _log_cmp(*dims[p], q)
+        near = lambda p, r: cmp(p, eff - r) > 0 > cmp(p, eff + r)  # |x_p - eff| < r
+        ensure(near(499, Fraction(1, 20)), f"{name}: |x_499 - eff| >= 1/20")
+        a, b, c, d = 0, 1, 1, 20
+        while b + d <= 1000:
+            r = Fraction(a + c, b + d)
+            if not near(499, r):  # r <= |x_499 - eff|
+                a, b = a + c, b + d
+            elif cmp(101, eff - r) >= 0 >= cmp(101, eff + r):  # r >= |x_101 - eff|
+                c, d = a + c, b + d
+            else:
+                break
+        ensure(b + d <= 1000, f"{name}: x_499 is not certified closer to eff than x_101")
 
 
 @dataclass(frozen=True)
@@ -194,6 +215,7 @@ class CheckResult:
     title: str
     passed: bool
     detail: str = ""
+    seconds: float = 0.0
 
 
 def run_checks(fast: bool = False) -> list[CheckResult]:
@@ -216,10 +238,12 @@ def run_checks(fast: bool = False) -> list[CheckResult]:
     ]
     results = []
     for title, fn in checks:
+        start = time.perf_counter()
         try:
             fn()
         except Exception as exc:  # a crash is a failure, not an abort
-            results.append(CheckResult(title, False, f"{type(exc).__name__}: {exc}"))
+            results.append(CheckResult(title, False, f"{type(exc).__name__}: {exc}",
+                                       time.perf_counter() - start))
         else:
-            results.append(CheckResult(title, True))
+            results.append(CheckResult(title, True, seconds=time.perf_counter() - start))
     return results

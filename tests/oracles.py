@@ -5,7 +5,8 @@ package: the subspace search for full subsystems, the per-root spanning
 test, the Fraction-vector closure test, the GF(2) elimination for
 spanning the dual of F_2^3, the truncation of a parsed degree table
 that cache hits are compared against, the Dirichlet product and power
-by their definitions, and helpers only the tests call.
+by their definitions, Weyl's dimension formula over ambient Fraction
+vectors, and helpers only the tests call.
 """
 
 from __future__ import annotations
@@ -112,6 +113,16 @@ def weight_to_ambient(system: RootSystem, lam) -> tuple:
             for r in range(system.ambient_dim):
                 vec[r] += c * w[r]
     return tuple(vec)
+
+
+def dim_weyl(system: RootSystem, lam) -> Fraction:
+    """Weyl's formula: the product of (lam + rho, a) / (rho, a) over positive roots a."""
+    shifted = weight_to_ambient(system, [c + 1 for c in lam])
+    rho = weight_to_ambient(system, system.rho)
+    out = Fraction(1)
+    for alpha in system.positive_roots:
+        out *= sum(map(mul, shifted, alpha)) / sum(map(mul, rho, alpha))
+    return out
 
 
 def subsystem_vectors(sub: Subsystem) -> list[tuple]:

@@ -1,11 +1,12 @@
-"""The fraction-free elimination against sympy's exact matrices."""
+"""The fraction-free elimination against sympy's exact matrices, and the
+modular rank certificate against the elimination."""
 
 from fractions import Fraction
 
 import sympy
 from hypothesis import given, strategies as st
 
-from weylzeta._linalg import annihilator, echelon
+from weylzeta._linalg import _PRIME, annihilator, echelon, full_rank
 
 entries = st.one_of(
     st.integers(-4, 4),
@@ -54,3 +55,28 @@ def test_inverse_matches_sympy(rows):
 def test_empty_input():
     assert echelon([]) == ([], [])
     assert annihilator([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+
+@st.composite
+def integer_rows(draw):
+    """Small integer rows, and which of them to multiply by the prime."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) for _ in range(m)]
+    return n, rows, draw(st.lists(st.booleans(), min_size=m, max_size=m))
+
+
+@given(integer_rows())
+def test_full_rank_matches_elimination(case):
+    n, rows, flags = case
+    exact = len(echelon(rows)[1]) == n
+    # entries up to 9 in at most 6 columns: no nonzero minor reaches the prime
+    assert full_rank(rows, n) is exact
+    # a row times the prime is zero mod the prime, so the certificate sees
+    # only the other rows and may fall short; the exact elimination settles it
+    scaled = [[x * _PRIME for x in row] if f else row for row, f in zip(rows, flags)]
+    kept = [row for row, f in zip(rows, flags) if not f]
+    assert full_rank(scaled, n) is full_rank(kept, n)
+    assert (len(echelon(scaled)[1]) == n) is exact
+    if full_rank(scaled, n):
+        assert exact

@@ -109,6 +109,18 @@ def test_dim_irrep(name, lam, expect):
     assert dim_irrep(build(name), lam) == expect
 
 
+@pytest.mark.parametrize("fr", all_types(4), ids=str)
+def test_dim_irrep_matches_weyl_formula(fr):
+    system = build(fr)
+    for lam in itertools.product(range(3), repeat=system.rank):
+        assert dim_irrep(system, lam) == oracles.dim_weyl(system, lam)
+
+
+@pytest.mark.parametrize("name,lam,expect", [c for c in DIM_CASES if c[0][0] == "E"])
+def test_dim_irrep_matches_weyl_formula_on_e_series(name, lam, expect):
+    assert dim_irrep(build(name), lam) == oracles.dim_weyl(build(name), lam) == expect
+
+
 def test_dim_irrep_rejects_non_dominant():
     with pytest.raises(ValueError):
         dim_irrep(build("A1"), (-1,))

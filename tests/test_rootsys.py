@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylzeta import rootsys
 from weylzeta._linalg import echelon
 from weylzeta.rootsys import (
     FamilyRank,
@@ -176,6 +177,15 @@ def test_pairing_range(fr):
                 assert val == 2
             else:
                 assert val in (-3, -2, -1, 0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("fr", all_types(8), ids=str)
+def test_root_fundamental_is_the_cartan_transform(fr):
+    system = build(fr)
+    cartan, n = system.cartan_matrix, system.rank
+    for b, x in enumerate(system.root_coords):
+        expect = tuple(sum(cartan[j][i] * x[j] for j in range(n)) for i in range(n))
+        assert system.root_fundamental(b) == expect
 
 
 @pytest.mark.parametrize("fr", all_types(8), ids=str)
@@ -376,6 +386,26 @@ def test_lemma_checks_fail_on_reducible_input():
     system = _A1xA1()
     assert quadratic_nullspace_dim(system) == 1  # the cross term x1 x2
     assert spanning_check(system) is False
+
+
+def _no_fallback(rows):
+    raise AssertionError("the modular certificate fell back to echelon")
+
+
+@pytest.mark.parametrize("fr", all_types(8), ids=str)
+def test_rigidity_is_certified_without_fallback(fr, monkeypatch):
+    system = build(fr)  # the build itself eliminates, so it comes first
+    monkeypatch.setattr(rootsys, "echelon", _no_fallback)
+    assert quadratic_nullspace_dim(system) == 0
+    assert spanning_check(system)
+
+
+def test_rank_deficit_takes_the_fallback(monkeypatch):
+    monkeypatch.setattr(rootsys, "echelon", _no_fallback)
+    with pytest.raises(AssertionError, match="fell back"):
+        quadratic_nullspace_dim(_A1xA1())
+    with pytest.raises(AssertionError, match="fell back"):
+        spanning_check(_A1xA1())
 
 
 @pytest.mark.parametrize("system", [build(fr) for fr in all_types(8)] + [_A1xA1()], ids=str)

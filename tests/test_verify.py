@@ -1,9 +1,11 @@
-"""The ledger checks its values under python -O too."""
+"""The ledger checks its values under python -O too, and times each check."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from weylzeta import verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,3 +37,16 @@ def test_ledger_fails_under_optimize():
     assert lines[0] == "optimize 1"
     assert ("FAIL efficiency search agrees with the closed forms "
             "AssertionError: G2 eff 1/5") in lines
+
+
+def test_every_check_reports_its_seconds(monkeypatch):
+    def broken():
+        raise ValueError("broken on purpose")
+
+    monkeypatch.setattr(verify, "check_prime_power_scan", broken)
+    results = verify.run_checks()
+    assert len(results) == 10
+    assert all(r.seconds >= 0 for r in results)
+    failed = [r for r in results if not r.passed]
+    assert [(r.title, r.detail) for r in failed] == [
+        ("rank-7 adjoint prime-power scan", "ValueError: broken on purpose")]
