@@ -57,7 +57,6 @@ def test_empty_input():
     assert annihilator([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
-
 @st.composite
 def integer_rows(draw):
     """Small integer rows, and which of them to multiply by the prime."""
@@ -78,5 +77,3 @@ def test_full_rank_matches_elimination(case):
     kept = [row for row, f in zip(rows, flags) if not f]
     assert full_rank(scaled, n) is full_rank(kept, n)
     assert (len(echelon(scaled)[1]) == n) is exact
-    if full_rank(scaled, n):
-        assert exact

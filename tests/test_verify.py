@@ -1,9 +1,13 @@
 """The ledger checks its values under python -O too, and times each check."""
 
+import dataclasses
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from weylzeta import verify
 
@@ -50,3 +54,14 @@ def test_every_check_reports_its_seconds(monkeypatch):
     failed = [r for r in results if not r.passed]
     assert [(r.title, r.detail) for r in failed] == [
         ("rank-7 adjoint prime-power scan", "ValueError: broken on purpose")]
+
+
+@pytest.mark.parametrize("name,wrong", [
+    ("G2", Fraction(1, 4)), ("G2", Fraction(1, 6)), ("F4", Fraction(2, 5)), ("F4", Fraction(1, 2)),
+])
+def test_prime_order_limit_fails_on_a_wrong_efficiency(name, wrong, monkeypatch):
+    real = verify.eff_formula
+    monkeypatch.setattr(verify, "eff_formula", lambda n: (
+        dataclasses.replace(real(n), eff=wrong) if str(n) == name else real(n)))
+    with pytest.raises(AssertionError, match=name):
+        verify.check_prime_order_limit()
