@@ -50,7 +50,6 @@ from .rootsys import (
     all_types,
     build,
     classify_subsystem,
-    dominant_representative,
     orthogonal_subsystem,
     quadratic_nullspace_dim,
     spanning_check,
@@ -60,14 +59,12 @@ from .verify import CheckResult, run_checks
 from .weylpoly import (
     ExplicitPair,
     WeylPolynomial,
-    check_conditions,
     degree,
     evaluate,
     explicit_pair,
     explicit_polynomial,
     ord_at_zero,
     pair_complement_claim,
-    proportionality,
     weyl_polynomial,
 )
 
@@ -93,14 +90,12 @@ __all__ = [
     "build",
     "build_sign_hom",
     "build_trace",
-    "check_conditions",
     "classify_subsystem",
     "compare",
     "coxeter_bound",
     "degree",
     "dim_irrep",
     "dirichlet_coeffs",
-    "dominant_representative",
     "eff_bruteforce",
     "eff_formula",
     "enumerate_closed_subsystems",
@@ -116,7 +111,6 @@ __all__ = [
     "pair_complement_claim",
     "perm_equivalent",
     "prime_power_scan",
-    "proportionality",
     "quadratic_nullspace_dim",
     "quotient_zeta",
     "run_checks",

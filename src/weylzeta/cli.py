@@ -198,8 +198,6 @@ def _cmd_weylpoly(args) -> int:
     fr = _parse_type(args.type)
     system = build(fr)
     if args.mu is not None or args.nu is not None:
-        if args.explicit:
-            raise ValueError("--explicit excludes --mu/--nu")
         if args.mu is None or args.nu is None:
             raise ValueError("--mu and --nu must be given together")
         mu = _parse_ints(args.mu, "--mu")
@@ -299,10 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weylpoly", help="dimension polynomial of a weight pair")
     p.add_argument("--type", required=True, metavar="F<n>")
-    p.add_argument("--explicit", action="store_true",
-                   help="use the built-in pair (the default)")
-    p.add_argument("--mu", metavar="a1,..,an")
-    p.add_argument("--nu", metavar="a1,..,an")
+    p.add_argument("--mu", metavar="a1,..,an", help="with --nu, replaces the built-in pair")
+    p.add_argument("--nu", metavar="a1,..,an",
+                   help="a leading minus needs the = form: --nu=-2,0, --mu=-1,0")
     p.add_argument("--eval", metavar="n1,n2,..")
     p.set_defaults(func=_cmd_weylpoly)
 
@@ -317,8 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("gassmann", help="equal-spectrum quotient pair report")
-    p.add_argument("--n128", action="store_true",
-                   help="use the built-in rank-128 construction (the default)")
     p.add_argument("--max-degree", required=True, type=int, metavar="D")
     p.set_defaults(func=_cmd_gassmann)
 

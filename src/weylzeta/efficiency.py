@@ -172,9 +172,8 @@ def compare(first, second) -> str:
 
     S dominates T when eff(S) > eff(T), or the efficiencies tie and
     lev(S) <= lev(T).  Domination both ways is "equivalent" and happens
-    only for B_n versus C_n (and S = T).  Since the efficiencies are
-    totally ordered rationals, "incomparable-resolved" is unreachable;
-    the branch exists to make the result set explicit.
+    only for B_n versus C_n (and S = T).  The efficiencies are totally
+    ordered rationals, so one of the two directions always holds.
     """
     a = eff_formula(first)
     b = eff_formula(second)
@@ -182,11 +181,7 @@ def compare(first, second) -> str:
     backward = b.eff > a.eff or (b.eff == a.eff and b.lev <= a.lev)
     if forward and backward:
         return "equivalent"
-    if forward:
-        return "greater"
-    if backward:
-        return "less"
-    return "incomparable-resolved"
+    return "greater" if forward else "less"
 
 
 def coxeter_bound(system: RootSystem, sub: Subsystem) -> Fraction:

@@ -278,43 +278,21 @@ def build(fr) -> RootSystem:
 # -- Weyl group action -----------------------------------------------------
 
 
-def _reduce_to_dominant(system: RootSystem, vec):
-    """Plain simple-reflection reduction; returns (dominant, parity, hit_zero)."""
+def _reduce_to_dominant(system: RootSystem, vec) -> Weight:
+    """The dominant member of the Weyl orbit of vec, by simple reflections."""
     v = list(vec)
     n = system.rank
     cartan = system.cartan_matrix
-    parity = 1
-    hit_zero = False
-    while True:
-        j = next((i for i in range(n) if v[i] < 0), None)
-        if j is None:
-            break
+    while (j := next((i for i in range(n) if v[i] < 0), None)) is not None:
         c = v[j]
         for i in range(n):
             v[i] -= c * cartan[j][i]
-        parity = -parity
-    if any(x == 0 for x in v):
-        hit_zero = True
-    return tuple(v), parity, hit_zero
-
-
-def dominant_representative(system: RootSystem, v) -> tuple[Weight, int, bool]:
-    """Reduce v under the rho-shifted Weyl action.
-
-    Returns (v', parity, singular) where v' + rho is the dominant member of the
-    Weyl orbit of v + rho, parity is the sign of the reducing element, and
-    singular means v + rho lies on a reflection wall.
-    """
-    shifted = tuple(x + 1 for x in v)
-    dom, parity, singular = _reduce_to_dominant(system, shifted)
-    return tuple(x - 1 for x in dom), parity, singular
+    return tuple(v)
 
 
 def weyl_orbit_equal(system: RootSystem, v1, v2) -> bool:
     """True iff v1 and v2 lie in the same (unshifted) Weyl orbit."""
-    d1, _, _ = _reduce_to_dominant(system, v1)
-    d2, _, _ = _reduce_to_dominant(system, v2)
-    return d1 == d2
+    return _reduce_to_dominant(system, v1) == _reduce_to_dominant(system, v2)
 
 
 def _signed_index(system) -> dict[tuple[int, ...], int]:

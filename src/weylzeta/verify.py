@@ -34,7 +34,7 @@ from .rootsys import (
     quadratic_nullspace_dim,
     spanning_check,
 )
-from .weylpoly import evaluate, explicit_pair, explicit_polynomial
+from .weylpoly import degree, evaluate, explicit_pair, explicit_polynomial, ord_at_zero
 
 
 def check_explicit_values() -> None:
@@ -183,10 +183,17 @@ def _log_cmp(part: int, dim: int, q: Fraction) -> int:
 def check_prime_order_limit() -> None:
     """log(p)-weighted vanishing order approaches the efficiency, in integers.
 
-    x_p = ord_p(dim) log p / log dim is compared with rationals by integer
-    powers: |x_499 - eff| < 1/20, and |x_499 - eff| < r < |x_101 - eff| for an
-    r found among the mediants of the Farey neighbours 0/1 and 1/20.
+    Exactly: ord_0(P) / deg(P) = eff and ord_0(P) = lev for the explicit
+    polynomial P of each type but A1 (P = 1).  Then x_p = ord_p(dim) log p /
+    log dim is compared with rationals by integer powers: |x_499 - eff| < 1/20,
+    and |x_499 - eff| < r < |x_101 - eff| for an r found among the mediants of
+    the Farey neighbours 0/1 and 1/20.
     """
+    for fr in all_types(8)[1:]:
+        P, expected = explicit_polynomial(fr), eff_formula(fr)
+        order = ord_at_zero(P)
+        ensure((Fraction(order, degree(P)), order) == (expected.eff, expected.lev),
+               f"{fr}: ord/deg = {order}/{degree(P)}")
     for name in ("A3", "B3", "G2", "F4"):
         system = build(name)
         pair = explicit_pair(system.id)

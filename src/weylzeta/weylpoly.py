@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cache
 
 from .rootsys import FamilyRank, RootSystem, build
 
@@ -24,7 +24,6 @@ class WeylPolynomial:
     """Exact rational coefficients, ascending degree."""
 
     coefficients: tuple[Fraction, ...]
-    provenance: Optional[tuple[FamilyRank, Weight, Weight]] = None
 
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self.coefficients) + "]"
@@ -50,9 +49,7 @@ def weyl_polynomial(R: RootSystem, mu, nu) -> WeylPolynomial:
         denom *= R.coroot_height(i)
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    return WeylPolynomial(
-        tuple(Fraction(c, denom) for c in coeffs), (R.id, tuple(mu), tuple(nu))
-    )
+    return WeylPolynomial(tuple(Fraction(c, denom) for c in coeffs))
 
 
 def evaluate(P: WeylPolynomial, n) -> Fraction:
@@ -72,35 +69,6 @@ def ord_at_zero(P: WeylPolynomial) -> int:
     if not any(P.coefficients):
         raise ValueError("zero polynomial has no order")
     return next(k for k, c in enumerate(P.coefficients) if c)
-
-
-def check_conditions(R: RootSystem, mu, nu) -> bool:
-    """Positivity of mu on all coroots, and of nu wherever mu vanishes."""
-    for i in range(R.num_positive):
-        a = R.pair(i, mu)
-        if a < 0:
-            return False
-        if a == 0 and R.pair(i, nu) < 0:
-            return False
-    return True
-
-
-def proportionality(P1: WeylPolynomial, P2: WeylPolynomial) -> Optional[Fraction]:
-    """The constant c with P2 = c * P1, if one exists."""
-    k = next((i for i, c in enumerate(P1.coefficients) if c), None)
-    if k is None:
-        return None
-    if k >= len(P2.coefficients) or not P2.coefficients[k]:
-        return None
-    c = P2.coefficients[k] / P1.coefficients[k]
-    n = max(len(P1.coefficients), len(P2.coefficients))
-
-    def coeff(P, i):
-        return P.coefficients[i] if i < len(P.coefficients) else Fraction(0)
-
-    if all(coeff(P2, i) == c * coeff(P1, i) for i in range(n)):
-        return c
-    return None
 
 
 _EXCEPTIONAL_PAIRS: dict[tuple[str, int], tuple[Weight, Weight]] = {
@@ -153,6 +121,7 @@ def pair_complement_claim(fr: FamilyRank) -> tuple[int, list[FamilyRank]]:
     return k, [FamilyRank.parse(t) for t in names]
 
 
+@cache  # WeylPolynomial is frozen; the ledger asks for each type many times
 def explicit_polynomial(fr: FamilyRank) -> WeylPolynomial:
     p = explicit_pair(fr)
     return weyl_polynomial(build(fr), p.mu, p.nu)

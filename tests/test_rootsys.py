@@ -10,7 +10,6 @@ from weylzeta.rootsys import (
     all_types,
     build,
     classify_subsystem,
-    dominant_representative,
     orthogonal_subsystem,
     quadratic_nullspace_dim,
     reflection_orbits,
@@ -250,23 +249,6 @@ def test_highest_root_is_last():
     assert build("E8").root_coords[-1] == (2, 3, 4, 6, 5, 4, 3, 2)
     assert build("F4").root_coords[-1] == (2, 3, 4, 2)
     assert build("E6").root_fundamental(35) == (0, 1, 0, 0, 0, 0)
-
-
-def test_dominant_representative():
-    a1 = build("A1")
-    assert dominant_representative(a1, (-3,)) == ((1,), -1, False)
-    assert dominant_representative(a1, (-1,)) == ((-1,), 1, True)
-    assert dominant_representative(a1, (4,)) == ((4,), 1, False)
-    a2 = build("A2")
-    assert dominant_representative(a2, (-2, 1)) == ((0, 0), -1, False)
-    assert dominant_representative(a2, (-1, -1)) == ((-1, -1), 1, True)
-
-
-@pytest.mark.parametrize("fr", all_types(4), ids=str)
-def test_dominant_representative_fixed_points(fr):
-    system = build(fr)
-    lam = tuple(range(1, system.rank + 1))
-    assert dominant_representative(system, lam) == (lam, 1, False)
 
 
 def test_weyl_orbit_equal():
