@@ -57,7 +57,7 @@ def test_every_check_reports_its_seconds(monkeypatch):
 
 
 # wrong maps a field of eff_formula's result to a wrong value.  From F4 4/9 on, the
-# asymptotic assertions pass (or do not cover the type); only ord_0(P)/deg(P) fails.
+# asymptotic assertions pass (or do not cover the type): only the ord_0(P) ones fail.
 @pytest.mark.parametrize("name,wrong", [
     ("G2", {"eff": Fraction(1, 4)}), ("G2", {"eff": Fraction(1, 6)}),
     ("F4", {"eff": Fraction(2, 5)}), ("F4", {"eff": Fraction(1, 2)}),
