@@ -20,8 +20,9 @@ integers.  For zeta_star, one sieve flags the coordinate gcds a prime
 = 1 mod N divides; the same sieve lists the smooth numbers of the Euler
 check.  allowable and in_lattice remain as the per-weight definitions.
 Equal series in one product are raised to a power by squaring or, for a
-dense series and a high power, in one pass (see _dirichlet_pow), whose
-Omega table comes from the same prime sieve.
+dense multiplicative series (every A1 class-0 series is one) and a high
+power, prime by prime from its values at prime powers (see
+_dirichlet_pow), with a least-prime-power table from the same prime sieve.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, islice
-from operator import add, mul
+from operator import add, eq, floordiv, mul
 
 from .rootsys import FamilyRank, RootSystem, build, ensure
 
@@ -355,21 +356,6 @@ def _sieve(limit: int, N: int) -> tuple[bytearray, bytearray]:
     return hit, miss
 
 
-_INCREMENT = bytes(range(1, 256)) + b"\0"  # a bytes.translate table: n -> n + 1
-
-
-def _omega(limit: int) -> bytearray:
-    """Omega(n), the number of prime factors of n counted with multiplicity,
-    for 0 <= n <= limit: each prime power q <= limit adds one at q's multiples."""
-    omega = bytearray(limit + 1)
-    for p in compress(range(limit + 1), _primes(limit)):
-        q = p
-        while q <= limit:
-            omega[q::q] = omega[q::q].translate(_INCREMENT)
-            q *= p
-    return omega
-
-
 # -- spectra ---------------------------------------------------------------
 
 
@@ -443,30 +429,29 @@ def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
     """base ** k for k >= 1, up to bound, by one of two exact paths.
 
     Square-and-multiply squares from the top bit of k down, with only
-    O(bound) alive.  The one pass rests on Omega, the number of prime
-    factors counted with multiplicity: it is completely additive, so
-    D(f)(n) = Omega(n) f(n) is a derivation of Dirichlet convolution, and
-    g = f ** k satisfies f D(g) = k g D(f).  At m, with c = f(1):
+    O(bound) alive.  A multiplicative base (f(1) = 1, f(mn) = f(m) f(n)
+    for coprime m, n) has a multiplicative power, so _multiplicative_pow
+    takes it prime by prime; on any other base it returns None and the
+    power squares after all.
 
-        c Omega(m) g(m) = sum over m = e d, d > 1,
-                          of f(d) g(e) (k Omega(d) - Omega(e)),
-
-    so one walk over m = 1..bound, from g(1) = c ** k, divides out each
-    g(m) (exactly, checked) and pushes its terms to the multiples m d.
-
-    The rule reads only k, len(base), bound and c: one pass iff c != 0,
-    the base is dense (len(base) * 64 >= bound) and square-and-multiply
-    would cost at least four squarings, a multiply by the base counting
-    as two (it visits ordered pairs, a square unordered ones), which
-    leaves it k = 1, 2, 3, 4 and 8.  On the odd dimensions at 20,000 (ms,
-    square-and-multiply / one pass): k = 2: 4.0 / 11.8, k = 8: 12.8 / 13.5,
-    k = 16: 18.3 / 13.5, k = 128: 30.5 / 14.8.  Sparser bases gain less
-    from one pass and pay for its O(bound) Omega table and walk.
+    The rule reads only k, len(base), bound and f(1): the prime-by-prime
+    path is tried iff f(1) = 1, the base is dense (len(base) * 64 >= bound)
+    and square-and-multiply would cost at least four squarings, a multiply
+    by the base counting as two (it visits ordered pairs, a square
+    unordered ones), which leaves it k = 1, 2, 3, 4 and 8.  On the odd
+    dimensions at 20,000 (ms, medians of nine in-process runs on a 2-core
+    VM, square-and-multiply / prime by prime): k = 2: 6.1 / 11.4,
+    k = 8: 20.3 / 11.8, k = 16: 27.4 / 11.8, k = 128: 50.9 / 12.0.  A dense
+    base that is not multiplicative pays for the tables and the check before
+    it squares: 14 ms for A2's 3,451 degrees at 10^5, whose fifth power
+    then squares in 40-44 ms.
     """
-    c = base.get(1)
     # (bit_length - 1) squarings + 2 * (bit_count - 1) multiplies >= 4
-    if c and k.bit_length() + 2 * k.bit_count() >= 7 and len(base) * 64 >= bound:
-        return _one_pass_pow(base, k, bound, c)
+    if base.get(1) == 1 and k.bit_length() + 2 * k.bit_count() >= 7 \
+            and len(base) * 64 >= bound:
+        power = _multiplicative_pow(base, k, bound)
+        if power is not None:
+            return power
     result = base
     for bit in bin(k)[3:]:
         result = _dirichlet_mul(result, result, bound)
@@ -475,26 +460,52 @@ def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
     return result
 
 
-def _one_pass_pow(base: Series, k: int, bound: int, c: int) -> Series:
-    """base ** k by the Omega-derivation recurrence of _dirichlet_pow; c = base[1]."""
-    omega = _omega(bound)
-    terms = [(d, fd, k * omega[d]) for d, fd in sorted(base.items()) if 1 < d <= bound]
-    g = [0] * (bound + 1)  # the pushed sum at m until the walk reaches m, then g(m)
-    g[1] = c**k
-    for m in range(1, bound + 1):
-        gm = g[m]
-        if not gm:
-            continue
-        om = omega[m]
-        if om:
-            gm, r = divmod(gm, c * om)
-            ensure(not r, f"the recurrence divides exactly at {m}")
-            g[m] = gm
-        limit = bound // m
-        for d, fd, kod in terms:
-            if d > limit:
-                break
-            g[m * d] += gm * fd * (kod - om)
+def _multiplicative_pow(base: Series, k: int, bound: int) -> Series | None:
+    """base ** k from its values at prime powers, or None if base is not
+    multiplicative up to bound.
+
+    Write n = m q with q = p^e the power of the least prime p of n that
+    divides it exactly; m and q are coprime, and m = 1 iff n is a prime
+    power.  The base is multiplicative up to bound iff f(n) = f(m) f(q) for
+    every n <= bound; keys past the bound are never read.  Then g = f ** k
+    is multiplicative, g(n) = g(m) g(q), and at p^e the local series
+    G = F ** k satisfies x G' F = k G x F', that is
+
+        e g(p^e) = sum over j = 1..e of ((k + 1) j - e) f(p^j) g(p^(e-j)),
+
+    one exact division (checked) per power of a prime p <= sqrt(bound); a
+    larger prime has e = 1 only, where g(p) = k f(p).
+    """
+    f = [0] * (bound + 1)
+    for d, c in base.items():
+        if d <= bound:
+            f[d] = c
+    # part[n] = q: the sieve's primes in decreasing order, each power in
+    # increasing order, so the least prime and its highest power write last;
+    # a number whose least prime exceeds isqrt(bound) is that prime
+    part = list(range(bound + 1))
+    small = list(compress(range(math.isqrt(bound) + 1), _primes(math.isqrt(bound))))
+    powers = [[p**e for e in range(1, bound.bit_length()) if p**e <= bound]
+              for p in small]
+    for qs in reversed(powers):
+        for q in qs:
+            part[q::q] = [q] * (bound // q)
+    part[0] = 1  # 0 = 0 * 1, and f(0) = f(0) f(1)
+    fm = map(f.__getitem__, map(floordiv, range(bound + 1), part))
+    if not all(map(eq, f, map(mul, fm, map(f.__getitem__, part)))):
+        return None
+    local = [k * c for c in f]  # g(q) at every prime power q
+    for qs in powers:
+        fs, gs = [1, *map(f.__getitem__, qs)], [1]
+        for e in range(1, len(qs) + 1):
+            total = sum(((k + 1) * j - e) * fs[j] * gs[e - j] for j in range(1, e + 1))
+            ge, r = divmod(total, e)
+            ensure(not r, f"the local recurrence divides exactly at {qs[e - 1]}")
+            gs.append(ge)
+            local[qs[e - 1]] = ge
+    g = [0, 1]
+    for n, q in enumerate(islice(part, 2, None), 2):
+        g.append(g[n // q] * local[q])
     return _series(g)
 
 

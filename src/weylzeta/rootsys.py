@@ -2,11 +2,11 @@
 
 Positive roots are generated in simple-root coordinates, as integer tuples,
 by the root-string algorithm on the Cartan matrix; they are never copied
-from tables.  Their vectors in the ambient space of the standard model
-(dimension n+1 for A_n, n for B_n/C_n/D_n, 8 for the E series, 4 for F4,
-3 for G2), tuples of Fractions, are derived from those coordinates.
-Weights are tuples of integers in the fundamental-weight basis, where rho
-is the all-ones vector.
+from tables.  Only the simple roots have vectors in the ambient space of
+the standard model (dimension n+1 for A_n, n for B_n/C_n/D_n, 8 for the E
+series, 4 for F4, 3 for G2), tuples of Fractions; their Gram form gives
+the Cartan matrix and the coroots.  Weights are tuples of integers in the
+fundamental-weight basis, where rho is the all-ones vector.
 
 Each rule is stated once.  _is_type decides which (family, rank) labels
 exist; FamilyRank, all_types and classify_subsystem read it.  Closure of
@@ -167,8 +167,6 @@ class RootSystem:
     def __init__(self, fr: FamilyRank):
         self.id = fr
         simples = _simple_roots(fr)
-        self.simple_roots: tuple[Vector, ...] = tuple(simples)
-        self.ambient_dim = len(simples[0])
         n = fr.rank
 
         # alpha_k = lifted[k] / den over one common denominator; gram is den^2
@@ -185,11 +183,6 @@ class RootSystem:
 
         self.root_coords: tuple[tuple[int, ...], ...] = tuple(
             _generate_positive_roots(self.cartan_matrix)
-        )
-        ambient = list(zip(*lifted))
-        self.positive_roots: tuple[Vector, ...] = tuple(
-            tuple(Fraction(sum(map(mul, c, col)), den) for col in ambient)
-            for c in self.root_coords
         )
 
         # beta = sum c_i alpha_i has coroot coordinates c_i |alpha_i|^2 / |beta|^2
@@ -209,14 +202,8 @@ class RootSystem:
             for j in range(n)
         ]
         reduced, _ = echelon(cartan_t)
-        d = self.cartan_det = reduced[0][0]
-        num = self._inv_cartan_t_num = tuple(tuple(row[n:]) for row in reduced)
-        self.fundamental_weights: tuple[Vector, ...] = tuple(
-            tuple(Fraction(sum(num[k][i] * x for k, x in enumerate(col)), d * den)
-                  for col in ambient)
-            for i in range(n)
-        )
-        self.rho: Weight = (1,) * n
+        self.cartan_det = reduced[0][0]
+        self._inv_cartan_t_num = tuple(tuple(row[n:]) for row in reduced)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -226,11 +213,11 @@ class RootSystem:
 
     @property
     def num_positive(self) -> int:
-        return len(self.positive_roots)
+        return len(self.root_coords)
 
     @property
     def num_roots(self) -> int:
-        return 2 * len(self.positive_roots)
+        return 2 * len(self.root_coords)
 
     def pair(self, alpha_index: int, lam) -> int:
         """Coroot-weight pairing alpha^vee(lambda) for a positive root index."""
@@ -344,10 +331,6 @@ class Subsystem:
 
     parent: RootSystem
     pos_indices: frozenset[int]
-
-    @property
-    def num_roots(self) -> int:
-        return 2 * len(self.pos_indices)
 
     @property
     def num_positive(self) -> int:

@@ -6,7 +6,8 @@ test, the Fraction-vector closure test, the GF(2) elimination for
 spanning the dual of F_2^3, the truncation of a parsed degree table
 that cache hits are compared against, the Dirichlet product and power
 by their definitions, Weyl's dimension formula over ambient Fraction
-vectors, and helpers only the tests call.
+vectors, those vectors themselves (the package keeps only integer
+simple-root coordinates), and helpers only the tests call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import mul
 
 from weylzeta._linalg import annihilator, echelon
 from weylzeta.repdegrees import DegreeTable, GroupSpec, dim_irrep
-from weylzeta.rootsys import RootSystem, Subsystem, _vadd, build
+from weylzeta.rootsys import RootSystem, Subsystem, _simple_roots, _vadd, build
 
 
 def _full_subsystem_masks(system: RootSystem) -> list[int]:
@@ -79,6 +80,29 @@ def spanning_check(system: RootSystem) -> bool:
     return True
 
 
+def simple_roots(system: RootSystem) -> tuple:
+    """The simple roots as ambient Fraction vectors of the standard model."""
+    return tuple(_simple_roots(system.id))
+
+
+@lru_cache(maxsize=None)
+def positive_roots(system: RootSystem) -> tuple:
+    """The positive roots as ambient Fraction vectors, in root_coords order."""
+    columns = list(zip(*simple_roots(system)))
+    return tuple(tuple(sum(map(mul, c, col), Fraction(0)) for col in columns)
+                 for c in system.root_coords)
+
+
+@lru_cache(maxsize=None)
+def fundamental_weights(system: RootSystem) -> tuple:
+    """omega_i = sum over k of (C^-T)_ki alpha_k, as ambient Fraction vectors."""
+    columns = list(zip(*simple_roots(system)))
+    num, d = system._inv_cartan_t_num, system.cartan_det
+    return tuple(tuple(Fraction(sum(row[i] * x for row, x in zip(num, col)), d)
+                       for col in columns)
+                 for i in range(system.rank))
+
+
 def root_basis_coords(system: RootSystem, lam) -> tuple[Fraction, ...]:
     """Coordinates of a weight in the simple-root basis."""
     d = system.cartan_det
@@ -87,12 +111,13 @@ def root_basis_coords(system: RootSystem, lam) -> tuple[Fraction, ...]:
 
 def is_root(system: RootSystem, vec) -> bool:
     """True iff the ambient vector vec is a root of the system."""
-    return vec in _positive_roots(system) or tuple(-x for x in vec) in _positive_roots(system)
+    roots = _positive_root_set(system)
+    return vec in roots or tuple(-x for x in vec) in roots
 
 
 @lru_cache(maxsize=None)
-def _positive_roots(system: RootSystem) -> frozenset:
-    return frozenset(system.positive_roots)
+def _positive_root_set(system: RootSystem) -> frozenset:
+    return frozenset(positive_roots(system))
 
 
 def in_root_lattice(system: RootSystem, v) -> bool:
@@ -107,10 +132,11 @@ def allowable_at(R: RootSystem, lam, p: int) -> bool:
 
 def weight_to_ambient(system: RootSystem, lam) -> tuple:
     """The weight with fundamental-weight coordinates lam, as an ambient vector."""
-    vec = [Fraction(0)] * system.ambient_dim
-    for c, w in zip(lam, system.fundamental_weights):
+    dim = len(simple_roots(system)[0])
+    vec = [Fraction(0)] * dim
+    for c, w in zip(lam, fundamental_weights(system)):
         if c:
-            for r in range(system.ambient_dim):
+            for r in range(dim):
                 vec[r] += c * w[r]
     return tuple(vec)
 
@@ -118,16 +144,16 @@ def weight_to_ambient(system: RootSystem, lam) -> tuple:
 def dim_weyl(system: RootSystem, lam) -> Fraction:
     """Weyl's formula: the product of (lam + rho, a) / (rho, a) over positive roots a."""
     shifted = weight_to_ambient(system, [c + 1 for c in lam])
-    rho = weight_to_ambient(system, system.rho)
+    rho = weight_to_ambient(system, (1,) * system.rank)
     out = Fraction(1)
-    for alpha in system.positive_roots:
+    for alpha in positive_roots(system):
         out *= sum(map(mul, shifted, alpha)) / sum(map(mul, rho, alpha))
     return out
 
 
 def subsystem_vectors(sub: Subsystem) -> list[tuple]:
     """The subsystem's roots as ambient Fraction vectors, positive ones first."""
-    pos = [sub.parent.positive_roots[i] for i in sorted(sub.pos_indices)]
+    pos = [positive_roots(sub.parent)[i] for i in sorted(sub.pos_indices)]
     return pos + [tuple(-x for x in v) for v in pos]
 
 

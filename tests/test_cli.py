@@ -436,10 +436,12 @@ _REFERENCE = json.loads(
 
 
 @pytest.mark.parametrize("key", sorted(
-    k for k in _REFERENCE if k.split()[0] in ("zeta", "zeta-star", "gassmann")))
+    k for k in _REFERENCE
+    if k.split()[0] in ("zeta", "zeta-star", "gassmann", "verify-paper")))
 def test_stdout_matches_reference_hash(capsys, key):
-    # every spectrum job the benchmark runs, full size, against the sha256 of
-    # its stdout recorded from trusted code; the reference file is only read
+    # every spectrum job the benchmark runs, full size, and the ten ledger
+    # lines of verify-paper with and without --fast, against the sha256 of
+    # their stdout recorded from trusted code; the reference file is only read
     code, out, err = run(capsys, *key.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _REFERENCE[key]

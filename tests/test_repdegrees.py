@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import factorint, primefactors
+from sympy import factorint, primefactors, primerange
 
 from weylzeta import repdegrees
 from weylzeta.repdegrees import (
@@ -561,7 +561,7 @@ def test_dirichlet_square_matches_pair_loop(bound, density):
         assert _dirichlet_pow(a, 3, bound) == _pair_loop(_pair_loop(a, a, bound), a, bound)
 
 
-# -- Dirichlet powers: one pass and square-and-multiply ----------------------
+# -- Dirichlet powers: prime by prime and square-and-multiply ---------------
 
 POWERS = [1, 2, 3, 4, 7, 8, 9, 16, 31, 128]
 
@@ -569,9 +569,9 @@ POWERS = [1, 2, 3, 4, 7, 8, 9, 16, 31, 128]
 @pytest.mark.parametrize("k", POWERS)
 @pytest.mark.parametrize("one", [1, 2, -3, None])
 def test_dirichlet_pow_matches_definition(k, one):
-    # dense bases with a 1-term take the one-pass recurrence at k = 7, 9, 16,
-    # 31 and 128; sparse ones, bases without a 1-term and the other k square
-    # and multiply; a base may hold keys just past the bound
+    # random bases are not multiplicative, so a dense one with f(1) = 1 at
+    # k = 7, 9, 16, 31 and 128 tries the prime-by-prime path and falls back;
+    # the rest square and multiply; a base may hold keys just past the bound
     rng = random.Random(k * 10 + (one or 0))
     for bound, density in ((1, 1.0), (2, 1.0), (150, 1.0), (150, 0.4), (2000, 0.005)):
         for signed in (False, True):
@@ -586,26 +586,88 @@ def test_dirichlet_pow_matches_definition(k, one):
             assert list(got) == sorted(got)
 
 
+def _multiplicative_base(rng, bound, values):
+    """A multiplicative series up to bound + 3 from random values at the powers
+    of 2, 3 and one more random prime, and 0 at every other prime."""
+    primes = {2, 3, rng.choice(list(primerange(2, bound + 4)))}
+    local = {p**e: rng.choice(values) for p in primes
+             for e in range(1, (bound + 3).bit_length()) if p**e <= bound + 3}
+    base = {n: math.prod(local.get(p**e, 0) for p, e in factorint(n).items())
+            for n in range(1, bound + 4)}
+    return {n: c for n, c in base.items() if c}
+
+
+def _spy_multiplicative(monkeypatch):
+    """Record (k, bound, whether the prime-by-prime path returned a power) per call."""
+    calls = []
+    real = repdegrees._multiplicative_pow
+
+    def spy(base, k, bound):
+        power = real(base, k, bound)
+        calls.append((k, bound, power is not None))
+        return power
+
+    monkeypatch.setattr(repdegrees, "_multiplicative_pow", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k", POWERS)
+@pytest.mark.parametrize("bound", [1, 2, 150, 2000])
+def test_multiplicative_pow_matches_definition(k, bound):
+    # values 0 and negative included; the key past the bound breaks
+    # multiplicativity there, which the prime-by-prime path must not read
+    rng = random.Random(k * 10007 + bound)
+    for _ in range(3):
+        base = _multiplicative_base(rng, bound, (-3, -1, 0, 1, 2, 5))
+        base[bound + 1] = base.get(bound + 1, 0) + 1
+        want = oracles.dirichlet_pow(base, k, bound)
+        assert _dirichlet_pow(base, k, bound) == want
+        # at k = 1 the definition returns the base itself, keys past the bound too
+        assert repdegrees._multiplicative_pow(base, k, bound) == {
+            d: c for d, c in want.items() if d <= bound}
+
+
+def _largest_with_two_primes(bound):
+    return next(n for n in range(bound, 5, -1) if len(factorint(n)) >= 2)
+
+
+@pytest.mark.parametrize("bound", [150, 2000])
+@pytest.mark.parametrize("where", ["two primes", "prime power"])
+def test_dirichlet_pow_falls_back_off_multiplicative(monkeypatch, bound, where):
+    # multiplicative except at one n: the largest n <= bound with two
+    # distinct primes, or 4, whose multiple 12 then breaks the rule
+    calls = _spy_multiplicative(monkeypatch)
+    rng = random.Random(bound)
+    base = _multiplicative_base(rng, bound, (-2, 1, 3))
+    n = _largest_with_two_primes(bound) if where == "two primes" else 4
+    base[n] = base.get(n, 0) + 1
+    got = _dirichlet_pow(base, 7, bound)
+    assert got == oracles.dirichlet_pow(base, 7, bound)
+    assert calls == [(7, bound, False)]
+
+
 def test_dirichlet_pow_path_rule(monkeypatch):
-    # only dense bases with a 1-term, raised past four squarings' cost,
-    # build an Omega table
-    built = []
-    omega = repdegrees._omega
-    monkeypatch.setattr(repdegrees, "_omega", lambda n: built.append(n) or omega(n))
+    # only dense bases with f(1) = 1, raised past four squarings' cost, try
+    # the prime-by-prime path; multiplicative ones take it, others fall back
+    calls = _spy_multiplicative(monkeypatch)
     odd, even = a1_series(2000, 2)
     for k in (1, 2, 3, 4, 8):
         _dirichlet_pow(odd, k, 2000)
-    assert built == []
+    assert calls == []
     for k in (5, 6, 7, 9, 16, 128):
         _dirichlet_pow(odd, k, 2000)
-    assert built == [2000] * 6
+    assert calls == [(k, 2000, True) for k in (5, 6, 7, 9, 16, 128)]
+    calls.clear()
     _dirichlet_pow(even, 128, 2000)
     _dirichlet_pow({1: 1, 7: 1, 14: 1, 27: 1, 64: 2, 77: 1}, 128, 10**5)
     zeta_coefficients(GroupSpec.parse("x".join(["G2"] * 8) + ":sc"), 10**5)
-    assert built == [2000] * 6
-
-
-def test_omega_matches_factorization():
-    omega = repdegrees._omega(3000)
-    assert len(omega) == 3001 and omega[:2] == b"\0\0"
-    assert all(omega[n] == sum(factorint(n).values()) for n in range(2, 3001))
+    assert calls == []
+    # the A1 series less the values a strip sieve flags stays multiplicative
+    (kept,) = a1_series(2000, 1, _sieve(2000, 4)[0])
+    assert 2000 > len(kept) >= 2000 / 64
+    _dirichlet_pow(kept, 5, 2000)
+    # A2's class-0 series is dense at 2000 but 10 = 2 * 5 has two weights
+    dense = zeta_coefficients(GroupSpec.parse("A2:adjoint"), 2000).counts
+    assert len(dense) * 64 >= 2000 and dense[10] == 2
+    _dirichlet_pow(dense, 7, 2000)
+    assert calls == [(5, 2000, True), (7, 2000, False)]

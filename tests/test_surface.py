@@ -5,6 +5,8 @@ non-dunder method, must be referenced (as a name or an attribute) from a
 module of the package other than __init__.py, or from a demo.  The
 exceptions are the functions perfbench/spans.py traces (it looks each one up
 by name), the table parser and renderer it wraps, and an allowlist.
+References match by bare name, so a same-named attribute elsewhere counts
+as a use.
 """
 
 import ast
