@@ -92,6 +92,10 @@ class SignHom:
         """Hamming weight of the image of x."""
         return self.image_bits(x).bit_count()
 
+    def exponents(self) -> list[tuple[int, int]]:
+        """The pairs (n - w(x), w(x)) over the 8 characters x, sorted."""
+        return sorted((self.n - w, w) for w in map(self.weight, _SPACE))
+
     def image_bits(self, x: int) -> int:
         """The image of x in F_2^n packed into an integer, coordinate j at bit j."""
         bits = 0
@@ -190,16 +194,24 @@ def group_string(hom: SignHom) -> str:
     return f"su2^{hom.n}/Z[{gens}]"
 
 
-def quotient_zeta(hom: SignHom, bound: int) -> DegreeTable:
+def _su2_products(bound: int) -> tuple[dict, dict]:
+    """The SU(2) series by class and an empty memo of products, for quotient_zeta."""
+    return {0: dict(enumerate(a1_series(bound, 2)))}, {}
+
+
+def quotient_zeta(hom: SignHom, bound: int, shared=None) -> DegreeTable:
     """Degree counts of the quotient of SU(2)^n by the annihilator of the image.
 
     A dimension-d representation survives exactly when its coordinate
     parity vector lies in the image of the embedding, so the counts are
-    summed factorization counts over the 8 image characters.
+    summed factorization counts over the 8 image characters.  Character x
+    takes the odd series to the power n - w(x) and the even one to w(x),
+    w the image weight.  shared, from _su2_products(bound), lets calls at
+    the same bound share the series and every product odd^a * even^b.
     """
     characters = [tuple(_dot(y, x) for y in hom.functionals) for x in _SPACE]
-    su2 = {0: dict(enumerate(a1_series(bound, 2)))}
-    counts = graded_product((0,) * hom.n, su2, characters, bound)
+    su2, memo = shared or _su2_products(bound)
+    counts = graded_product((0,) * hom.n, su2, characters, bound, memo)
     return DegreeTable(group_string(hom), "zeta", bound, counts)
 
 
@@ -246,8 +258,9 @@ def verify_gassmann(f1_values, pi, bound: int) -> GassmannReport:
     f2 = twist(f1, pi)
     h1 = build_sign_hom(f1)
     h2 = build_sign_hom(f2)
-    t1 = quotient_zeta(h1, bound)
-    t2 = quotient_zeta(h2, bound)
+    shared = _su2_products(bound)  # for this call only: nothing outlives it
+    t1 = quotient_zeta(h1, bound, shared)
+    t2 = quotient_zeta(h2, bound, shared)
     return GassmannReport(
         zeta_equal=t1.counts == t2.counts,
         perm_equivalent=perm_equivalent(h1, h2),

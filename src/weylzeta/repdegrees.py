@@ -20,9 +20,10 @@ integers.  For zeta_star, one sieve flags the coordinate gcds a prime
 = 1 mod N divides; the same sieve lists the smooth numbers of the Euler
 check.  allowable and in_lattice remain as the per-weight definitions.
 Equal series in one product are raised to a power by squaring or, for a
-dense multiplicative series (every A1 class-0 series is one) and a high
-power, prime by prime from its values at prime powers (see
+dense multiplicative series (every A1 class-0 series is one) and a power
+of at least 3, prime by prime from its values at prime powers (see
 _dirichlet_pow), with a least-prime-power table from the same prime sieve.
+Tuples with the same multiset of (factor, class) pairs share one product.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import add, eq, floordiv, mul
 
 from .rootsys import FamilyRank, RootSystem, build, ensure
@@ -436,19 +437,19 @@ def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
 
     The rule reads only k, len(base), bound and f(1): the prime-by-prime
     path is tried iff f(1) = 1, the base is dense (len(base) * 64 >= bound)
-    and square-and-multiply would cost at least four squarings, a multiply
-    by the base counting as two (it visits ordered pairs, a square
-    unordered ones), which leaves it k = 1, 2, 3, 4 and 8.  On the odd
-    dimensions at 20,000 (ms, medians of nine in-process runs on a 2-core
-    VM, square-and-multiply / prime by prime): k = 2: 6.1 / 11.4,
-    k = 8: 20.3 / 11.8, k = 16: 27.4 / 11.8, k = 128: 50.9 / 12.0.  A dense
-    base that is not multiplicative pays for the tables and the check before
-    it squares: 14 ms for A2's 3,451 degrees at 10^5, whose fifth power
-    then squares in 40-44 ms.
+    and k >= 3.  Medians of seven in-process runs on a 2-core VM, ms,
+    square-and-multiply / prime by prime:
+
+        series, bound    k = 2       k = 3       k = 4       k = 8
+        all, 2000        1.2 / 1.3   3.6 / 1.3   2.5 / 1.3   4.1 / 1.4
+        all, 20000      17.1 / 14.9 50.3 / 14.4 36.4 / 14.7 55.6 / 15.3
+        odd, 2000        0.5 / 1.3   1.5 / 1.3   1.0 / 1.3   1.5 / 1.3
+        odd, 20000       6.3 / 11.5 18.5 / 11.9 13.6 / 12.3 21.4 / 13.1
+
+    A dense base that is not multiplicative usually fails the check on a
+    short prefix, before the O(bound) tables are built.
     """
-    # (bit_length - 1) squarings + 2 * (bit_count - 1) multiplies >= 4
-    if base.get(1) == 1 and k.bit_length() + 2 * k.bit_count() >= 7 \
-            and len(base) * 64 >= bound:
+    if base.get(1) == 1 and k >= 3 and len(base) * 64 >= bound:
         power = _multiplicative_pow(base, k, bound)
         if power is not None:
             return power
@@ -460,15 +461,36 @@ def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
     return result
 
 
+def _least_prime_parts(powers: list[list[int]], limit: int) -> list[int]:
+    """part[n] = q for 0 <= n <= limit: the power q of the least prime of n
+    that divides n exactly (part[0] = part[1] = 1).
+
+    powers lists, prime by prime in increasing order, the powers of every
+    prime p <= isqrt(limit) (more primes do no harm).  They are written in
+    decreasing order of p, each power in increasing order, so the least
+    prime and its highest power write last; a number whose least prime
+    exceeds isqrt(limit) is that prime.
+    """
+    part = list(range(limit + 1))
+    for qs in reversed(powers):
+        for q in qs:
+            if q > limit:
+                break
+            part[q::q] = [q] * (limit // q)
+    part[0] = 1  # 0 = 0 * 1, and f(0) = f(0) f(1)
+    return part
+
+
 def _multiplicative_pow(base: Series, k: int, bound: int) -> Series | None:
     """base ** k from its values at prime powers, or None if base is not
     multiplicative up to bound.
 
-    Write n = m q with q = p^e the power of the least prime p of n that
-    divides it exactly; m and q are coprime, and m = 1 iff n is a prime
-    power.  The base is multiplicative up to bound iff f(n) = f(m) f(q) for
-    every n <= bound; keys past the bound are never read.  Then g = f ** k
-    is multiplicative, g(n) = g(m) g(q), and at p^e the local series
+    Write n = m q with q = part[n] from _least_prime_parts; m and q are
+    coprime, and m = 1 iff n is a prime power.  The base is multiplicative
+    up to bound iff f(n) = f(m) f(q) for every n <= bound; keys past the
+    bound are never read.  The check runs up to isqrt(bound) first, so a
+    base that fails early costs O(isqrt(bound)).  Then g = f ** k is
+    multiplicative, g(n) = g(m) g(q), and at p^e the local series
     G = F ** k satisfies x G' F = k G x F', that is
 
         e g(p^e) = sum over j = 1..e of ((k + 1) j - e) f(p^j) g(p^(e-j)),
@@ -476,24 +498,15 @@ def _multiplicative_pow(base: Series, k: int, bound: int) -> Series | None:
     one exact division (checked) per power of a prime p <= sqrt(bound); a
     larger prime has e = 1 only, where g(p) = k f(p).
     """
-    f = [0] * (bound + 1)
-    for d, c in base.items():
-        if d <= bound:
-            f[d] = c
-    # part[n] = q: the sieve's primes in decreasing order, each power in
-    # increasing order, so the least prime and its highest power write last;
-    # a number whose least prime exceeds isqrt(bound) is that prime
-    part = list(range(bound + 1))
     small = list(compress(range(math.isqrt(bound) + 1), _primes(math.isqrt(bound))))
     powers = [[p**e for e in range(1, bound.bit_length()) if p**e <= bound]
               for p in small]
-    for qs in reversed(powers):
-        for q in qs:
-            part[q::q] = [q] * (bound // q)
-    part[0] = 1  # 0 = 0 * 1, and f(0) = f(0) f(1)
-    fm = map(f.__getitem__, map(floordiv, range(bound + 1), part))
-    if not all(map(eq, f, map(mul, fm, map(f.__getitem__, part)))):
-        return None
+    for limit in (math.isqrt(bound), bound):
+        f = list(map(base.get, range(limit + 1), repeat(0)))
+        part = _least_prime_parts(powers, limit)
+        fm = map(f.__getitem__, map(floordiv, range(limit + 1), part))
+        if not all(map(eq, f, map(mul, fm, map(f.__getitem__, part)))):
+            return None
     local = [k * c for c in f]  # g(q) at every prime power q
     for qs in powers:
         fs, gs = [1, *map(f.__getitem__, qs)], [1]
@@ -509,26 +522,33 @@ def _multiplicative_pow(base: Series, k: int, bound: int) -> Series | None:
     return _series(g)
 
 
-def graded_product(factors, graded, tuples, bound: int) -> Series:
+def graded_product(factors, graded, tuples, bound: int, memo=None) -> Series:
     """Sum over class tuples of the Dirichlet product of the factors' series.
 
     factors holds one key per factor, graded[key] maps a center class to
     that factor's series, and each of tuples names one class per factor.
-    Equal (factor, class) pairs are raised to a power; a tuple is skipped
-    when even its smallest degree, the product of the least dimensions,
-    exceeds the bound.
+    Equal (factor, class) pairs are raised to a power, and tuples with the
+    same multiset of pairs share one product, computed once; a tuple is
+    skipped when even its smallest degree, the product of the least
+    dimensions, exceeds the bound.  memo, a dict, keeps the products by
+    that multiset for later calls with the same graded and bound.
     """
     pairs = {pair for classes in tuples for pair in zip(factors, classes)}
     least = {(key, c): min(s) for key, c in pairs if (s := graded[key].get(c))}
     total: Counter = Counter()
-    for classes in tuples:
-        groups = Counter(zip(factors, classes)).items()
+    multisets = Counter(frozenset(Counter(zip(factors, classes)).items()) for classes in tuples)
+    for groups, times in multisets.items():
         if any(pair not in least for pair, _ in groups):
             continue  # a factor has no weight of that class
         if math.prod(least[pair] ** k for pair, k in groups) > bound:
             continue
-        powers = [_dirichlet_pow(graded[key][c], k, bound) for (key, c), k in groups]
-        total.update(reduce(lambda a, b: _dirichlet_mul(a, b, bound), powers or [{1: 1}]))
+        product = None if memo is None else memo.get(groups)
+        if product is None:
+            powers = [_dirichlet_pow(graded[key][c], k, bound) for (key, c), k in groups]
+            product = reduce(lambda a, b: _dirichlet_mul(a, b, bound), powers or [{1: 1}])
+            if memo is not None:
+                memo[groups] = product
+        total.update(product if times == 1 else {d: times * c for d, c in product.items()})
     return dict(total)
 
 

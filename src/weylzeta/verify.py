@@ -16,7 +16,14 @@ from fractions import Fraction
 from itertools import product
 
 from .efficiency import eff_bruteforce, eff_formula
-from .gassmann import DEFAULT_TRACE, DEFAULT_TWIST, verify_gassmann
+from .gassmann import (
+    DEFAULT_TRACE,
+    DEFAULT_TWIST,
+    build_sign_hom,
+    build_trace,
+    twist,
+    verify_gassmann,
+)
 from .repdegrees import (
     GroupSpec,
     dim_irrep,
@@ -158,6 +165,11 @@ def check_euler_identity() -> None:
 
 def check_gassmann_pair() -> None:
     """The default twisted pair: equal spectra, inequivalent subgroups."""
+    # the reason the spectra agree, checked apart from the Dirichlet
+    # products the two quotients share: equal exponent pairs per character
+    f = build_trace(DEFAULT_TRACE)
+    h1, h2 = build_sign_hom(f), build_sign_hom(twist(f, DEFAULT_TWIST))
+    ensure(h1.exponents() == h2.exponents())
     report = verify_gassmann(DEFAULT_TRACE, DEFAULT_TWIST, 10**4)
     ensure(report.n == 128)
     ensure(report.zeta_equal)

@@ -8,6 +8,7 @@ import pytest
 from weylzeta.gassmann import (
     DEFAULT_TRACE,
     _spans_dual,
+    _su2_products,
     DEFAULT_TWIST,
     TraceFunction,
     build_sign_hom,
@@ -270,6 +271,19 @@ def test_quotient_zeta_default_closed_form():
             assert table.counts.get(d, 0) == expect, (bound, d)
 
 
+@pytest.mark.parametrize("bound", [500, 10**4, 2 * 10**4])
+def test_shared_products_match_independent_calls(bound):
+    # verify_gassmann's two quotients share the SU(2) series and a memo of
+    # products; shared or not, each table is the same
+    f1 = build_trace(DEFAULT_TRACE)
+    homs = [build_sign_hom(f1), build_sign_hom(twist(f1, DEFAULT_TWIST))]
+    shared = _su2_products(bound)
+    assert [quotient_zeta(h, bound, shared) for h in homs] == [
+        quotient_zeta(h, bound) for h in homs]
+    # below 2^48 only odd^128 survives the bound, computed once for both
+    assert len(shared[1]) == 1
+
+
 def test_quotient_zeta_serialization_roundtrip():
     table = quotient_zeta(build_sign_hom(REGULAR), 30)
     text = table.to_text()
@@ -307,6 +321,9 @@ def test_default_pair_shares_trace_multiset():
     t1 = sorted(h1.n - 2 * h1.weight(x) for x in range(8))
     t2 = sorted(h2.n - 2 * h2.weight(x) for x in range(8))
     assert t1 == t2
+    assert h1.exponents() == h2.exponents() == sorted((128 - w, w) for w in (
+        0, 48, 52, 56, 60, 68, 72, 76))
+    assert build_sign_hom(REGULAR).exponents() == [(4, 4)] * 7 + [(8, 0)]
 
 
 def test_default_pair_not_equivalent():

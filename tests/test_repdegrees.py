@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -433,6 +434,23 @@ def test_engine_with_a1_factors_matches_enumeration(text, bound, variant):
     assert fn(spec, bound).counts == expect
 
 
+def _sum_over_tuples(factors, graded, tuples, bound):
+    """The definition of graded_product: every tuple multiplied out factor
+    by factor, the products summed, zero counts dropped."""
+    expect: dict[int, int] = {}
+    for classes in tuples:
+        product = {1: 1}
+        for key, c in zip(factors, classes):
+            product = _pair_loop(product, graded[key][c], bound)
+        for d, v in product.items():
+            expect[d] = expect.get(d, 0) + v
+    return {d: v for d, v in expect.items() if v}
+
+
+def _nonzero(series):
+    return {d: v for d, v in series.items() if v}
+
+
 @pytest.mark.parametrize("bound", [1, 2, 60, 500])
 def test_graded_product_matches_sum_over_tuples(bound):
     # repeated (factor, class) pairs are raised to a power and empty or
@@ -446,16 +464,37 @@ def test_graded_product_matches_sum_over_tuples(bound):
     for _ in range(5):
         chosen = rng.sample(sorted(tuples), 12)
         chosen += [(1, 0, 2, 1), (1, 1, 2, 0), (0, 1, 2, 1)]
-        expect: dict[int, int] = {}
-        for classes in set(chosen):
-            product = {1: 1}
-            for key, c in zip(factors, classes):
-                product = _pair_loop(product, graded[key][c], bound)
-            for d, v in product.items():
-                expect[d] = expect.get(d, 0) + v
-        expect = {d: v for d, v in expect.items() if v}
+        expect = _sum_over_tuples(factors, graded, set(chosen), bound)
         got = graded_product(factors, graded, set(chosen), bound)
-        assert {d: v for d, v in got.items() if v} == expect
+        assert _nonzero(got) == expect
+
+
+# Tuples over the factors (a, a, b, a): the first two differ only in b's
+# class, the third and fourth only in the exponents of a0 and a1, and the
+# fifth has the fourth's multiset of (factor, class) pairs.
+NEAR_TUPLES = [(0, 0, 1, 0), (0, 0, 2, 0), (0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("bound", [60, 500])
+def test_graded_product_memo_matches_definition(bound):
+    # equal multisets share one product within a call, and a memo carries
+    # products across calls; a key that dropped the class or the exponent
+    # would merge neighbours in NEAR_TUPLES and fail against the definition
+    rng = random.Random(bound + 7)
+    graded = {key: {c: {**_random_series(rng, bound, 0.3), 1: rng.randint(1, 3)}
+                    for c in range(3)} for key in "ab"}
+    factors = ("a", "a", "b", "a")
+    tuples = sorted(itertools.product(range(3), repeat=4))
+    memo: dict = {}
+    rounds = [set(NEAR_TUPLES)] + [{t, *rng.sample(tuples, 8)} for t in NEAR_TUPLES]
+    for chosen in rounds:
+        expect = _sum_over_tuples(factors, graded, chosen, bound)
+        assert _nonzero(graded_product(factors, graded, chosen, bound)) == expect
+        assert _nonzero(graded_product(factors, graded, chosen, bound, memo)) == expect
+    # one entry per multiset of ((factor, class), exponent); every tuple fits
+    # the bound, since each series has a degree-1 term
+    assert set(memo) == {frozenset(collections.Counter(zip(factors, t)).items())
+                         for chosen in rounds for t in chosen}
 
 
 # -- the factor walk and the sieve against their definitions -----------------
@@ -569,9 +608,9 @@ POWERS = [1, 2, 3, 4, 7, 8, 9, 16, 31, 128]
 @pytest.mark.parametrize("k", POWERS)
 @pytest.mark.parametrize("one", [1, 2, -3, None])
 def test_dirichlet_pow_matches_definition(k, one):
-    # random bases are not multiplicative, so a dense one with f(1) = 1 at
-    # k = 7, 9, 16, 31 and 128 tries the prime-by-prime path and falls back;
-    # the rest square and multiply; a base may hold keys just past the bound
+    # random bases are rarely multiplicative, so a dense one with f(1) = 1
+    # at k >= 3 tries the prime-by-prime path and mostly falls back; the
+    # rest square and multiply; a base may hold keys just past the bound
     rng = random.Random(k * 10 + (one or 0))
     for bound, density in ((1, 1.0), (2, 1.0), (150, 1.0), (150, 0.4), (2000, 0.005)):
         for signed in (False, True):
@@ -647,16 +686,16 @@ def test_dirichlet_pow_falls_back_off_multiplicative(monkeypatch, bound, where):
 
 
 def test_dirichlet_pow_path_rule(monkeypatch):
-    # only dense bases with f(1) = 1, raised past four squarings' cost, try
-    # the prime-by-prime path; multiplicative ones take it, others fall back
+    # only dense bases with f(1) = 1, raised to a power k >= 3, try the
+    # prime-by-prime path; multiplicative ones take it, others fall back
     calls = _spy_multiplicative(monkeypatch)
     odd, even = a1_series(2000, 2)
-    for k in (1, 2, 3, 4, 8):
+    for k in (1, 2):
         _dirichlet_pow(odd, k, 2000)
     assert calls == []
-    for k in (5, 6, 7, 9, 16, 128):
+    for k in (3, 4, 5, 6, 7, 8, 9, 16, 128):
         _dirichlet_pow(odd, k, 2000)
-    assert calls == [(k, 2000, True) for k in (5, 6, 7, 9, 16, 128)]
+    assert calls == [(k, 2000, True) for k in (3, 4, 5, 6, 7, 8, 9, 16, 128)]
     calls.clear()
     _dirichlet_pow(even, 128, 2000)
     _dirichlet_pow({1: 1, 7: 1, 14: 1, 27: 1, 64: 2, 77: 1}, 128, 10**5)
