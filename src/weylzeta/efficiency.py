@@ -19,9 +19,8 @@ tabulated efficiency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from ._linalg import annihilator, echelon
 from .rootsys import FamilyRank, RootSystem, Subsystem, build, closure, simple_reflections
@@ -30,11 +29,10 @@ from .rootsys import FamilyRank, RootSystem, Subsystem, build, closure, simple_r
 _BRUTE_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class EffResult:
-    eff: Fraction
-    lev: int
-    witness: Optional[tuple[Subsystem, Subsystem]] = None
+class EffResult(namedtuple("EffResult", "eff lev witness", defaults=(None,))):
+    """Efficiency, level and, from the search, a witness pair of subsystems."""
+
+    __slots__ = ()
 
 
 def eff_formula(ident) -> EffResult:

@@ -18,7 +18,7 @@ the pairing is the parity of the AND.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations
 
@@ -32,11 +32,10 @@ def _dot(y: int, x: int) -> int:
     return (y & x).bit_count() & 1
 
 
-@dataclass(frozen=True)
-class TraceFunction:
+class TraceFunction(namedtuple("TraceFunction", "values")):
     """An integer function on F_2^3, stored as a tuple indexed by element."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
 
 def build_trace(values) -> TraceFunction:
@@ -80,13 +79,13 @@ def fourier_multiplicities(f: TraceFunction) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class SignHom:
-    """A linear embedding of F_2^3 into F_2^n, one functional per coordinate."""
+class SignHom(namedtuple("SignHom", "n functionals multiplicities")):
+    """A linear embedding of F_2^3 into F_2^n, one functional per coordinate.
 
-    n: int
-    functionals: tuple[int, ...]
-    multiplicities: dict[int, int]
+    multiplicities maps each functional to the number of coordinates using it.
+    """
+
+    __slots__ = ()
 
     def weight(self, x: int) -> int:
         """Hamming weight of the image of x."""
@@ -245,11 +244,8 @@ DEFAULT_TRACE = (128, 8, -8, 16, -16, 24, -24, 32)
 DEFAULT_TWIST = {1: 3, 2: 2, 3: 1, 4: 4, 5: 5, 6: 6, 7: 7}
 
 
-@dataclass(frozen=True)
-class GassmannReport:
-    zeta_equal: bool
-    perm_equivalent: bool
-    n: int
+class GassmannReport(namedtuple("GassmannReport", "zeta_equal perm_equivalent n")):
+    __slots__ = ()
 
 
 def verify_gassmann(f1_values, pi, bound: int) -> GassmannReport:

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, islice, repeat
@@ -42,32 +41,29 @@ from .rootsys import FamilyRank, RootSystem, build, ensure
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "factors kind cosets")):
     """Product of irreducible factors plus a choice of weight lattice.
 
     kind 'sc' takes the full weight lattice, 'adjoint' the root lattice, and
     'cosets' an explicit subgroup of the fundamental group given by vectors
-    of fractional root-basis coordinates.
+    of fractional root-basis coordinates, held sorted and reduced mod 1.
     """
 
-    factors: tuple[FamilyRank, ...]
-    kind: str = "sc"
-    cosets: tuple[tuple[Fraction, ...], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+    def __new__(cls, factors, kind: str = "sc", cosets=()):
+        self = super().__new__(cls, tuple(factors), kind, cosets)
         if not self.factors:
             raise ValueError("group needs at least one factor")
-        if self.kind not in ("sc", "adjoint", "cosets"):
-            raise ValueError(f"unknown lattice kind {self.kind!r}")
-        if self.kind != "cosets":
-            if self.cosets:
+        if kind not in ("sc", "adjoint", "cosets"):
+            raise ValueError(f"unknown lattice kind {kind!r}")
+        if kind != "cosets":
+            if cosets:
                 raise ValueError("coset list requires kind='cosets'")
-            return
+            return self
         n = self.total_rank
         seen = set()
-        for v in self.cosets:
+        for v in cosets:
             if len(v) != n:
                 raise ValueError("coset vector length != total rank")
             seen.add(tuple(Fraction(x) % 1 for x in v))
@@ -80,7 +76,7 @@ class GroupSpec:
             for b in seen:
                 if tuple((x + y) % 1 for x, y in zip(a, b)) not in seen:
                     raise ValueError("cosets are not closed under addition")
-        object.__setattr__(self, "cosets", tuple(sorted(seen)))
+        return super().__new__(cls, self.factors, kind, tuple(sorted(seen)))
 
     def _is_weight_coset(self, v) -> bool:
         # fractional root-basis coordinates name a weight iff C^T v is integral
@@ -360,14 +356,13 @@ def _sieve(limit: int, N: int) -> tuple[bytearray, bytearray]:
 # -- spectra ---------------------------------------------------------------
 
 
-@dataclass
-class DegreeTable:
-    """Counts of irreducible representations by dimension up to a bound."""
+class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
+    """Counts of irreducible representations by dimension up to a bound.
 
-    group: str
-    variant: str  # "zeta" or "zeta_star"
-    bound: int
-    counts: dict[int, int]
+    variant is "zeta" or "zeta_star"; counts maps dimension to count.
+    """
+
+    __slots__ = ()
 
     _HEADER = re.compile(
         r"^#\s*weylzeta v1 group=(\S+) variant=(zeta|zeta_star) maxdim=(\d+)\s*$"

@@ -18,7 +18,7 @@ Subsystem.is_closed and efficiency.enumerate_closed_subsystems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -46,16 +46,15 @@ def _is_type(family: str, rank: int) -> bool:
     return (least is not None and rank >= least) or (family, rank) in _EXCEPTIONAL
 
 
-@dataclass(frozen=True, order=True)
-class FamilyRank:
+class FamilyRank(namedtuple("FamilyRank", "family rank")):
     """Type label of an irreducible root system, e.g. FamilyRank('B', 7)."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_type(self.family, self.rank):
-            raise ValueError(f"invalid root system type: {self.family}{self.rank}")
+    def __new__(cls, family: str, rank: int):
+        if not _is_type(family, rank):
+            raise ValueError(f"invalid root system type: {family}{rank}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -325,12 +324,10 @@ def reflection_orbits(perms, m: int) -> list[list[int]]:
 # -- subsystems ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subsystem:
+class Subsystem(namedtuple("Subsystem", "parent pos_indices")):
     """A symmetric subset of the roots, stored by positive-root indices."""
 
-    parent: RootSystem
-    pos_indices: frozenset[int]
+    __slots__ = ()
 
     @property
     def num_positive(self) -> int:

@@ -10,7 +10,7 @@ degree spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -19,23 +19,19 @@ from .rootsys import FamilyRank, RootSystem, build
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeylPolynomial:
+class WeylPolynomial(namedtuple("WeylPolynomial", "coefficients")):
     """Exact rational coefficients, ascending degree."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ()
 
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self.coefficients) + "]"
 
 
-@dataclass(frozen=True)
-class ExplicitPair:
+class ExplicitPair(namedtuple("ExplicitPair", "id mu nu")):
     """The per-family (mu, nu) whose polynomial realizes the efficiency."""
 
-    id: FamilyRank
-    mu: Weight
-    nu: Weight
+    __slots__ = ()
 
 
 def weyl_polynomial(R: RootSystem, mu, nu) -> WeylPolynomial:

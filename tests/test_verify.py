@@ -1,6 +1,5 @@
 """The ledger checks its values under python -O too, and times each check."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -15,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Run the fast ledger with the tabulated G2 efficiency set to a wrong value.
 PROGRAM = """
-import dataclasses, sys
+import sys
 from fractions import Fraction
 from weylzeta import verify
 
@@ -23,7 +22,7 @@ real = verify.eff_formula
 
 def wrong(name):
     res = real(name)
-    return dataclasses.replace(res, eff=Fraction(1, 4)) if str(name) == "G2" else res
+    return res._replace(eff=Fraction(1, 4)) if str(name) == "G2" else res
 
 verify.eff_formula = wrong
 print("optimize", sys.flags.optimize)
@@ -68,6 +67,6 @@ def test_every_check_reports_its_seconds(monkeypatch):
 def test_prime_order_limit_fails_on_a_wrong_efficiency(name, wrong, monkeypatch):
     real = verify.eff_formula
     monkeypatch.setattr(verify, "eff_formula", lambda n: (
-        dataclasses.replace(real(n), **wrong) if str(n) == name else real(n)))
+        real(n)._replace(**wrong) if str(n) == name else real(n)))
     with pytest.raises(AssertionError, match=name):
         verify.check_prime_order_limit()
