@@ -256,14 +256,17 @@ def _cmd_gassmann(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    failed = 0
-    for result in run_checks(fast=args.fast):
-        if result.passed:
-            print(f"PASS {result.title}")
-        else:
-            failed += 1
-            print(f"FAIL {result.title}: {result.detail}")
-    return 1 if failed else 0
+    results = run_checks(fast=args.fast)
+    if args.json:
+        import json  # only this report needs it, so the import stays off the start-up path
+
+        print(json.dumps({"checks": [
+            {"title": r.title, "passed": r.passed, "seconds": r.seconds, "detail": r.detail}
+            for r in results]}))
+    else:
+        for r in results:
+            print(f"PASS {r.title}" if r.passed else f"FAIL {r.title}: {r.detail}")
+    return 0 if all(r.passed for r in results) else 1
 
 
 # -- wiring ----------------------------------------------------------------
@@ -321,6 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="regression ledger of reference values")
     p.add_argument("--fast", action="store_true",
                    help="skip the F4 efficiency search and the prime-power scan")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object with each check's title, verdict and seconds")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -144,12 +144,18 @@ def _delta(fr: FamilyRank) -> int:
 
 
 def dim_irrep(R: RootSystem, lam) -> int:
-    """Dimension of the irreducible representation with highest weight lam."""
+    """Dimension of the irreducible representation with highest weight lam.
+
+    Weyl's formula prod <lam + rho, beta^vee> / Delta over the positive
+    coroots: the simple coroots pair to lam_j + 1, and each step (p, j) of
+    R.coroot_chain pairs the next coroot by one addition.
+    """
     if len(lam) != R.rank or any(c < 0 for c in lam):
         raise ValueError(f"weight {lam} is not dominant")
-    shifted = [c + 1 for c in lam]
-    num = math.prod([sum(map(mul, coroot, shifted)) for coroot in R.coroots])
-    q, r = divmod(num, _delta(R.id))
+    vals = [c + 1 for c in lam]
+    for p, j in R.coroot_chain:
+        vals.append(vals[p] + vals[j])
+    q, r = divmod(math.prod(vals), _delta(R.id))
     if r:
         raise ArithmeticError(f"{R.id} Weyl product of {lam} is not divisible by Delta")
     return q

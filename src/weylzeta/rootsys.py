@@ -2,11 +2,14 @@
 
 Positive roots are generated in simple-root coordinates, as integer tuples,
 by the root-string algorithm on the Cartan matrix; they are never copied
-from tables.  Only the simple roots have vectors in the ambient space of
-the standard model (dimension n+1 for A_n, n for B_n/C_n/D_n, 8 for the E
-series, 4 for F4, 3 for G2), tuples of Fractions; their Gram form gives
-the Cartan matrix and the coroots.  Weights are tuples of integers in the
-fundamental-weight basis, where rho is the all-ones vector.
+from tables.  The same pass keeps each root's weight (its coordinates in
+the fundamental-weight basis), which the coroots, the simple reflections
+and the spanning check read.  Only the simple roots have vectors in the
+ambient space of the standard model (dimension n+1 for A_n, n for
+B_n/C_n/D_n, 8 for the E series, 4 for F4, 3 for G2), integer tuples, with
+the E and F models doubled to clear their halves; their Gram form gives
+the Cartan matrix.  Weights are tuples of integers in the fundamental-weight
+basis, where rho is the all-ones vector.
 
 Each rule is stated once.  _is_type decides which (family, rank) labels
 exist; FamilyRank, all_types and classify_subsystem read it.  Closure of
@@ -17,16 +20,13 @@ Subsystem.is_closed and efficiency.enumerate_closed_subsystems.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from operator import mul
+from operator import add, mul
 
 from ._linalg import echelon, full_rank
 
-Vector = tuple[Fraction, ...]
 Weight = tuple[int, ...]
 
 
@@ -73,91 +73,76 @@ def all_types(max_rank: int = 8) -> list[FamilyRank]:
             if _is_type(fam, n)]
 
 
-def _e(i: int, dim: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
+def _e(i: int, dim: int) -> Weight:
+    return tuple(int(j == i) for j in range(dim))
 
 
-def _vadd(a: Vector, b: Vector) -> Vector:
+def _vadd(a, b) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _vsub(a: Vector, b: Vector) -> Vector:
+def _vsub(a, b) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _simple_roots(fr: FamilyRank) -> list[Vector]:
+def _double(a) -> tuple[int, ...]:
+    return tuple(2 * x for x in a)
+
+
+def _simple_roots(fr: FamilyRank) -> list[tuple[int, ...]]:
+    """Integer simple roots of the standard model, doubled for E and F."""
     fam, n = fr.family, fr.rank
     if fam == "A":
         dim = n + 1
         return [_vsub(_e(i, dim), _e(i + 1, dim)) for i in range(n)]
+    if fam == "E":  # alpha_1 = (1, -1, -1, -1, -1, -1, -1, 1) / 2 before doubling
+        simples = [_vadd(_e(0, 8), _e(1, 8))] + [
+            _vsub(_e(i, 8), _e(i - 1, 8)) for i in range(1, 7)
+        ]
+        return [(1, -1, -1, -1, -1, -1, -1, 1)] + [_double(s) for s in simples[: n - 1]]
+    if fam == "G":  # in the sum-zero hyperplane of Q^3: alpha1 short, alpha2 long
+        return [(1, -1, 0), (-2, 1, 1)]
+    head = [_vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)]
     if fam == "B":
-        return [_vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)] + [_e(n - 1, n)]
+        return head + [_e(n - 1, n)]
     if fam == "C":
-        last = tuple(2 * x for x in _e(n - 1, n))
-        return [_vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)] + [last]
+        return head + [_double(_e(n - 1, n))]
     if fam == "D":
-        return [_vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)] + [
-            _vadd(_e(n - 2, n), _e(n - 1, n))
-        ]
-    if fam == "E":
-        half = Fraction(1, 2)
-        alpha1 = tuple(
-            half if i in (0, 7) else -half for i in range(8)
-        )
-        simples = [
-            alpha1,
-            _vadd(_e(0, 8), _e(1, 8)),
-            _vsub(_e(1, 8), _e(0, 8)),
-            _vsub(_e(2, 8), _e(1, 8)),
-            _vsub(_e(3, 8), _e(2, 8)),
-            _vsub(_e(4, 8), _e(3, 8)),
-            _vsub(_e(5, 8), _e(4, 8)),
-            _vsub(_e(6, 8), _e(5, 8)),
-        ]
-        return simples[:n]
-    if fam == "F":
-        half = Fraction(1, 2)
-        return [
-            _vsub(_e(1, 4), _e(2, 4)),
-            _vsub(_e(2, 4), _e(3, 4)),
-            _e(3, 4),
-            (half, -half, -half, -half),
-        ]
-    # G2 in the sum-zero hyperplane of Q^3: alpha1 short, alpha2 long
-    return [
-        (Fraction(1), Fraction(-1), Fraction(0)),
-        (Fraction(-2), Fraction(1), Fraction(1)),
-    ]
+        return head + [_vadd(_e(n - 2, n), _e(n - 1, n))]
+    # F4, with alpha_4 = (1, -1, -1, -1) / 2 before doubling
+    return [_double(s) for s in head[1:] + [_e(3, 4)]] + [(1, -1, -1, -1)]
 
 
-def _generate_positive_roots(cartan) -> list[tuple[int, ...]]:
-    """Simple-root coordinates of all positive roots: by height, then coordinates.
+def _generate_positive_roots(cartan) -> tuple[tuple, tuple]:
+    """Simple-root coordinates and weights of the positive roots: by height, then coordinates.
 
     Root strings (Humphreys, Lie Algebras, 9.4): for a positive root beta
     and a simple root alpha_i, beta + alpha_i is a root iff
     p - <beta, alpha_i^vee> >= 1, where p is the largest k with
-    beta - k alpha_i a root and <beta, alpha_i^vee> = sum_j c_j C[j][i].
-    Every root below beta's height is known when beta is reached.
+    beta - k alpha_i a root.  The weight f of beta (its coordinates in the
+    fundamental-weight basis, f_i = <beta, alpha_i^vee>) is carried along:
+    alpha_i has row i of C, and adding alpha_i adds that row.  Every root
+    below beta's height is known when beta is reached.
     """
     n = len(cartan)
-    columns = [tuple(row[i] for row in cartan) for i in range(n)]
-    level = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
-    known = set(level)
-    out = list(level)
+    level = {tuple(int(i == j) for j in range(n)): tuple(row) for i, row in enumerate(cartan)}
+    out = {}
     while level:
-        nxt = set()
-        for c in level:
-            for i, column in enumerate(columns):
-                p = 0
-                while p < c[i] and c[:i] + (c[i] - p - 1,) + c[i + 1:] in known:
-                    p += 1
-                if p - sum(map(mul, c, column)) >= 1:
-                    nxt.add(c[:i] + (c[i] + 1,) + c[i + 1:])
-        known |= nxt
         # one level is one height, so out stays in canonical order
-        level = sorted(nxt)
-        out.extend(level)
-    return out
+        out.update(sorted(level.items()))
+        nxt = {}
+        for c, f in level.items():
+            for i, row in enumerate(cartan):
+                need = f[i] + 1  # the test is p >= need, where p <= c[i]
+                if need > c[i]:
+                    continue
+                p = 0
+                while p < need and c[:i] + (c[i] - p - 1,) + c[i + 1:] in out:
+                    p += 1
+                if p >= need:
+                    nxt[c[:i] + (c[i] + 1,) + c[i + 1:]] = tuple(map(add, f, row))
+        level = nxt
+    return tuple(out), tuple(out.values())
 
 
 class RootSystem:
@@ -168,31 +153,38 @@ class RootSystem:
         simples = _simple_roots(fr)
         n = fr.rank
 
-        # alpha_k = lifted[k] / den over one common denominator; gram is den^2
-        # times the inner products of the simple roots, the symmetrized form
-        den = math.lcm(*(x.denominator for s in simples for x in s))
-        lifted = [[int(x * den) for x in s] for s in simples]
-        gram = self._gram = tuple(
-            tuple(sum(map(mul, a, b)) for b in lifted) for a in lifted
-        )
-        # cartan[i][j] = 2(alpha_i, alpha_j) / (alpha_j, alpha_j)
+        # gram holds the inner products of the integer simple roots, the
+        # symmetrized form; cartan[i][j] = 2(alpha_i, alpha_j) / (alpha_j, alpha_j)
+        gram = self._gram = tuple(tuple(sum(map(mul, a, b)) for b in simples) for a in simples)
         self.cartan_matrix: tuple[tuple[int, ...], ...] = tuple(
             tuple(2 * gram[i][j] // gram[j][j] for j in range(n)) for i in range(n)
         )
+        self.root_coords, self.root_weights = _generate_positive_roots(self.cartan_matrix)
 
-        self.root_coords: tuple[tuple[int, ...], ...] = tuple(
-            _generate_positive_roots(self.cartan_matrix)
-        )
-
-        # beta = sum c_i alpha_i has coroot coordinates c_i |alpha_i|^2 / |beta|^2
+        # beta = sum c_i alpha_i has coroot coordinates c_i |alpha_i|^2 / |beta|^2,
+        # and 2 |beta|^2 = sum c_i f_i |alpha_i|^2 for the weight f of beta; the
+        # floors are exact iff no remainder is left, the remainders sharing a sign
+        norms = [gram[i][i] for i in range(n)]
         coroots = []
-        for coords in self.root_coords:
-            nrm = self.inner(coords, coords)
-            parts = [divmod(c * gram[i][i], nrm) for i, c in enumerate(coords)]
-            if any(r or q < 0 for q, r in parts):
-                raise ArithmeticError(f"coroot of {coords} is not nonnegative integral")
-            coroots.append(tuple(q for q, _ in parts))
+        for c, f in zip(self.root_coords, self.root_weights):
+            scaled = list(map(mul, c, norms))
+            nrm = sum(map(mul, scaled, f))
+            coroot = tuple(2 * x // nrm for x in scaled)
+            if nrm * sum(coroot) != 2 * sum(scaled):
+                raise ArithmeticError(f"coroot of {c} is not integral")
+            coroots.append(coroot)
         self.coroots: tuple[tuple[int, ...], ...] = tuple(coroots)
+
+        # every non-simple positive coroot is an earlier one plus a simple
+        # coroot alpha_j^vee: with slot j holding alpha_j^vee, the step (p, j)
+        # fills the next slot with slot p plus slot j
+        slot = {_e(j, n): j for j in range(n)}
+        chain = []
+        for c in sorted(coroots, key=lambda c: (sum(c), c))[n:]:
+            chain.append(next((slot[q], j) for j in range(n)
+                              if (q := c[:j] + (c[j] - 1,) + c[j + 1:]) in slot))
+            slot[c] = len(slot)
+        self.coroot_chain: tuple[tuple[int, int], ...] = tuple(chain)
 
         # eliminating [C^T | I] leaves [d I | d C^-T], d = det C; C^-T takes a
         # weight to its simple-root coordinates
@@ -223,16 +215,11 @@ class RootSystem:
         return sum(c * w for c, w in zip(self.coroots[alpha_index], lam))
 
     def inner(self, x, y) -> int:
-        """den^2 times the inner product of two vectors in simple-root coordinates."""
+        """Inner product of two vectors in simple-root coordinates, in the Gram form."""
         return sum(a * sum(map(mul, row, y)) for a, row in zip(x, self._gram))
 
     def coroot_height(self, alpha_index: int) -> int:
         return sum(self.coroots[alpha_index])
-
-    def root_fundamental(self, alpha_index: int) -> Weight:
-        """A positive root written in the fundamental-weight basis."""
-        x = self.root_coords[alpha_index]
-        return tuple(sum(map(mul, x, column)) for column in zip(*self.cartan_matrix))
 
     def root_basis_numerators(self, lam) -> tuple[int, ...]:
         """det(C) times the coordinates of a weight in the simple-root basis."""
@@ -296,11 +283,10 @@ def simple_reflections(system) -> list[tuple[int, ...]]:
     by coordinate i of beta in the fundamental-weight basis.  s_i negates
     alpha_i and permutes the other positive roots.
     """
-    coords = system.root_coords
     index = _signed_index(system)
-    fundamentals = [system.root_fundamental(b) for b in range(len(coords))]
     return [
-        tuple(index[c[:i] + (c[i] - f[i],) + c[i + 1:]] for c, f in zip(coords, fundamentals))
+        tuple(index[c[:i] + (c[i] - f[i],) + c[i + 1:]]
+              for c, f in zip(system.root_coords, system.root_weights))
         for i in range(system.rank)
     ]
 
@@ -470,13 +456,14 @@ def quadratic_nullspace_dim(system: RootSystem) -> int:
     """
     n = system.rank
     unknowns = [(i, j) for i in range(n) for j in range(i, n)]
-    rows = [
-        [c[i] * c[j] if i == j else 2 * c[i] * c[j] for i, j in unknowns]
-        for c in system.root_coords
-    ]
-    if full_rank(rows, len(unknowns)):
+
+    def row(c):
+        return [c[i] * c[j] if i == j else 2 * c[i] * c[j] for i, j in unknowns]
+
+    # full_rank stops at the last row it needs, so the rows come one at a time
+    if full_rank(map(row, system.root_coords), len(unknowns)):
         return 0
-    return len(unknowns) - len(echelon(rows)[1])
+    return len(unknowns) - len(echelon(list(map(row, system.root_coords)))[1])
 
 
 def spanning_check(system: RootSystem) -> bool:
@@ -495,11 +482,10 @@ def spanning_check(system: RootSystem) -> bool:
     """
     n = system.rank
     coords = system.root_coords
-    fundamentals = [system.root_fundamental(i) for i in range(system.num_positive)]
     products = [[[c[i] * c[j] for c in coords] for j in range(n)] for i in range(n)]
     for orbit in reflection_orbits(simple_reflections(system), system.num_positive):
         coroot = system.coroots[orbit[0]]
-        keep = [sum(map(mul, coroot, f)) != 0 for f in fundamentals]
+        keep = [sum(map(mul, coroot, f)) != 0 for f in system.root_weights]
         gram = [[sum(compress(p, keep)) for p in row] for row in products]
         if not full_rank(gram, n) and len(echelon(gram)[1]) < n:
             return False

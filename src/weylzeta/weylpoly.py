@@ -10,6 +10,7 @@ degree spectrum.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
@@ -35,24 +36,35 @@ class ExplicitPair(namedtuple("ExplicitPair", "id mu nu")):
 
 
 def weyl_polynomial(R: RootSystem, mu, nu) -> WeylPolynomial:
-    shifted = tuple(v + 1 for v in nu)
+    a, b = list(mu), [v + 1 for v in nu]
+    for p, j in R.coroot_chain:  # the pairings of every positive coroot
+        a.append(a[p] + a[j])
+        b.append(b[p] + b[j])
     coeffs = [1]
-    denom = 1
-    for i in range(R.num_positive):
-        a = R.pair(i, mu)
-        b = R.pair(i, shifted)
-        coeffs = [b * c + a * p for c, p in zip(coeffs + [0], [0] + coeffs)]
-        denom *= R.coroot_height(i)
+    for x, y in zip(a, b):
+        coeffs = [y * c + x * q for c, q in zip(coeffs + [0], [0] + coeffs)]
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
+    denom = math.prod(map(R.coroot_height, range(R.num_positive)))
     return WeylPolynomial(tuple(Fraction(c, denom) for c in coeffs))
 
 
 def evaluate(P: WeylPolynomial, n) -> Fraction:
-    acc = Fraction(0)
+    """P(n) exactly.
+
+    For an int n, Horner runs in integers on the numerators scaled to the
+    lcm d of the coefficient denominators, and one Fraction divides by d.
+    """
+    if not isinstance(n, int):
+        acc = Fraction(0)
+        for c in reversed(P.coefficients):
+            acc = acc * n + c
+        return acc
+    d = math.lcm(*(c.denominator for c in P.coefficients))
+    acc = 0
     for c in reversed(P.coefficients):
-        acc = acc * n + c
-    return acc
+        acc = acc * n + c.numerator * (d // c.denominator)
+    return Fraction(acc, d)
 
 
 def degree(P: WeylPolynomial) -> int:

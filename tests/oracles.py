@@ -6,8 +6,10 @@ test, the Fraction-vector closure test, the GF(2) elimination for
 spanning the dual of F_2^3, the truncation of a parsed degree table
 that cache hits are compared against, the Dirichlet product and power
 by their definitions, Weyl's dimension formula over ambient Fraction
-vectors, those vectors themselves (the package keeps only integer
-simple-root coordinates), and helpers only the tests call.
+vectors and over one dot product per coroot, those vectors themselves
+(the package keeps only integer simple-root coordinates), the weights and
+coroots of the positive roots by their definitions, Horner's rule in
+Fractions, and helpers only the tests call.
 """
 
 from __future__ import annotations
@@ -70,10 +72,9 @@ def spanning_check(system: RootSystem) -> bool:
     """
     n = system.rank
     coords = system.root_coords
-    fundamentals = [system.root_fundamental(i) for i in range(system.num_positive)]
     products = [[[c[i] * c[j] for c in coords] for j in range(n)] for i in range(n)]
     for coroot in system.coroots:
-        keep = [sum(map(mul, coroot, f)) != 0 for f in fundamentals]
+        keep = [sum(map(mul, coroot, f)) != 0 for f in system.root_weights]
         gram = [[sum(compress(p, keep)) for p in row] for row in products]
         if len(echelon(gram)[1]) < n:
             return False
@@ -81,8 +82,51 @@ def spanning_check(system: RootSystem) -> bool:
 
 
 def simple_roots(system: RootSystem) -> tuple:
-    """The simple roots as ambient Fraction vectors of the standard model."""
-    return tuple(_simple_roots(system.id))
+    """The simple roots as ambient Fraction vectors of the standard model.
+
+    The package doubles the E and F models to keep them integral; this halves
+    them back.
+    """
+    scale = Fraction(1, 2) if system.id.family in "EF" else Fraction(1)
+    return tuple(tuple(scale * x for x in s) for s in _simple_roots(system.id))
+
+
+def root_fundamental(system: RootSystem, b: int) -> tuple[int, ...]:
+    """Positive root b in the fundamental-weight basis: C^T times its coordinates."""
+    x = system.root_coords[b]
+    return tuple(sum(map(mul, x, column)) for column in zip(*system.cartan_matrix))
+
+
+def coroots(system: RootSystem) -> tuple:
+    """Coroot coordinates c_i (alpha_i, alpha_i) / (beta, beta), with (beta, beta) by inner."""
+    out = []
+    for c in system.root_coords:
+        nrm = system.inner(c, c)
+        out.append(tuple(Fraction(x * system.inner(e, e), nrm)
+                         for x, e in zip(c, _unit_vectors(system.rank))))
+    return tuple(out)
+
+
+def _unit_vectors(n: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def dim_by_pairings(system: RootSystem, lam) -> Fraction:
+    """Weyl's formula prod <lam + rho, beta^vee> / prod <rho, beta^vee>, one dot product each."""
+    shifted = [c + 1 for c in lam]
+    num = den = 1
+    for coroot in system.coroots:
+        num *= sum(map(mul, coroot, shifted))
+        den *= sum(coroot)
+    return Fraction(num, den)
+
+
+def evaluate(P, n) -> Fraction:
+    """P(n) by Horner's rule in Fractions."""
+    acc = Fraction(0)
+    for c in reversed(P.coefficients):
+        acc = acc * n + c
+    return acc
 
 
 @lru_cache(maxsize=None)

@@ -428,6 +428,18 @@ def test_verify_fast_ledger(capsys):
     assert all(ln.startswith("PASS ") for ln in lines)
 
 
+def test_verify_json_ledger(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert all(set(c) == {"title", "passed", "seconds", "detail"} for c in checks)
+    assert all(c["passed"] and c["detail"] == "" and c["seconds"] >= 0 for c in checks)
+    code, out, _ = run(capsys, "verify-paper")
+    titles = [ln.removeprefix("PASS ") for ln in out.strip().splitlines()]
+    assert (code, len(titles)) == (0, 10)
+    assert [c["title"] for c in checks] == titles
+
+
 # -- stdout pinned by the benchmark's reference hashes -------------------------
 
 _REFERENCE = json.loads(

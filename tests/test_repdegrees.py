@@ -117,6 +117,21 @@ def test_dim_irrep_matches_weyl_formula(fr):
         assert dim_irrep(system, lam) == oracles.dim_weyl(system, lam)
 
 
+def _seeded_weights(fr, count=40):
+    """The zero weight, then coordinates mixing 0, small values and values up to 10^6."""
+    rng = random.Random(str(fr))
+    draw = (lambda: 0, lambda: rng.randint(1, 3), lambda: rng.randint(0, 10**6))
+    return [(0,) * fr.rank] + [tuple(rng.choice(draw)() for _ in range(fr.rank))
+                               for _ in range(count - 1)]
+
+
+@pytest.mark.parametrize("fr", all_types(16), ids=str)
+def test_dim_irrep_matches_pairing_oracle(fr):
+    system = build(fr)
+    for lam in _seeded_weights(fr):
+        assert dim_irrep(system, lam) == oracles.dim_by_pairings(system, lam)
+
+
 @pytest.mark.parametrize("name,lam,expect", [c for c in DIM_CASES if c[0][0] == "E"])
 def test_dim_irrep_matches_weyl_formula_on_e_series(name, lam, expect):
     assert dim_irrep(build(name), lam) == oracles.dim_weyl(build(name), lam) == expect

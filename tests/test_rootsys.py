@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -171,7 +172,7 @@ def test_pairing_range(fr):
     system = build(fr)
     for i in range(system.num_positive):
         for j in range(system.num_positive):
-            val = system.pair(i, system.root_fundamental(j))
+            val = system.pair(i, system.root_weights[j])
             if i == j:
                 assert val == 2
             else:
@@ -184,7 +185,30 @@ def test_root_fundamental_is_the_cartan_transform(fr):
     cartan, n = system.cartan_matrix, system.rank
     for b, x in enumerate(system.root_coords):
         expect = tuple(sum(cartan[j][i] * x[j] for j in range(n)) for i in range(n))
-        assert system.root_fundamental(b) == expect
+        assert system.root_weights[b] == expect
+
+
+@pytest.mark.parametrize("fr", all_types(16), ids=str)
+def test_root_weights_and_coroots_match_definitions(fr):
+    system = build(fr)
+    weights = tuple(oracles.root_fundamental(system, b) for b in range(system.num_positive))
+    assert system.root_weights == weights
+    assert system.coroots == oracles.coroots(system)
+
+
+# sha256 of the build tables of every type up to rank 16, recorded before the
+# root weights were kept at build time
+TABLES_SHA256 = "efbfa5b37daed754d95e95973bd8833c0bf3ca92b008e4f6b085598996a1cd34"
+
+
+def test_tables_pinned_to_rank_16():
+    digest = hashlib.sha256()
+    types = all_types(16)
+    for fr in types:
+        s = build(fr)
+        digest.update(repr((str(fr), s.cartan_matrix, s.root_coords, s.coroots,
+                            s.cartan_det, s._inv_cartan_t_num)).encode())
+    assert (len(types), digest.hexdigest()) == (63, TABLES_SHA256)
 
 
 @pytest.mark.parametrize("fr", all_types(8), ids=str)
@@ -239,8 +263,8 @@ def test_fundamental_weights_dual_to_coroots(fr):
 def test_root_basis_coords_invert_cartan(fr):
     system = build(fr)
     for i, coords in enumerate(system.root_coords):
-        assert oracles.root_basis_coords(system, system.root_fundamental(i)) == coords
-        assert in_root_lattice(system, system.root_fundamental(i))
+        assert oracles.root_basis_coords(system, system.root_weights[i]) == coords
+        assert in_root_lattice(system, system.root_weights[i])
 
 
 def test_highest_root_is_last():
@@ -248,7 +272,7 @@ def test_highest_root_is_last():
     assert build("G2").root_coords[-1] == (3, 2)
     assert build("E8").root_coords[-1] == (2, 3, 4, 6, 5, 4, 3, 2)
     assert build("F4").root_coords[-1] == (2, 3, 4, 2)
-    assert build("E6").root_fundamental(35) == (0, 1, 0, 0, 0, 0)
+    assert build("E6").root_weights[35] == (0, 1, 0, 0, 0, 0)
 
 
 def test_weyl_orbit_equal():
@@ -355,9 +379,7 @@ class _A1xA1:
     num_positive = 2
     root_coords = ((1, 0), (0, 1))
     coroots = ((1, 0), (0, 1))
-
-    def root_fundamental(self, i):
-        return ((2, 0), (0, 2))[i]
+    root_weights = ((2, 0), (0, 2))
 
     def __str__(self):
         # A stable test id; the default repr carries a memory address.

@@ -21,6 +21,7 @@ from weylzeta.weylpoly import (
     weyl_polynomial,
 )
 
+import oracles
 from oracles import in_root_lattice
 
 F = Fraction
@@ -52,6 +53,14 @@ def test_frozen_coefficients():
     assert explicit_polynomial(build("G2").id).coefficients == (
         0, F(-1, 60), F(-1, 24), 0, F(1, 24), F(1, 60),
     )
+
+
+@pytest.mark.parametrize("fr", all_types(16), ids=str)
+def test_evaluate_matches_fraction_horner(fr):
+    P = explicit_polynomial(fr)
+    for x in (-3, 0, 1, 2, 5, F(-7, 3)):
+        got = evaluate(P, x)
+        assert type(got) is Fraction and got == oracles.evaluate(P, x)
 
 
 def test_b3_closed_form():
