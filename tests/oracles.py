@@ -99,16 +99,10 @@ def root_fundamental(system: RootSystem, b: int) -> tuple[int, ...]:
 
 def coroots(system: RootSystem) -> tuple:
     """Coroot coordinates c_i (alpha_i, alpha_i) / (beta, beta), with (beta, beta) by inner."""
-    out = []
-    for c in system.root_coords:
-        nrm = system.inner(c, c)
-        out.append(tuple(Fraction(x * system.inner(e, e), nrm)
-                         for x, e in zip(c, _unit_vectors(system.rank))))
-    return tuple(out)
-
-
-def _unit_vectors(n: int) -> list[tuple[int, ...]]:
-    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    n = system.rank
+    norms = [system.inner(u, u) for u in (tuple(int(i == j) for j in range(n)) for i in range(n))]
+    return tuple(tuple(Fraction(x * g, system.inner(c, c)) for x, g in zip(c, norms))
+                 for c in system.root_coords)
 
 
 def dim_by_pairings(system: RootSystem, lam) -> Fraction:
