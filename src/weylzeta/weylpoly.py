@@ -52,14 +52,9 @@ def weyl_polynomial(R: RootSystem, mu, nu) -> WeylPolynomial:
 def evaluate(P: WeylPolynomial, n) -> Fraction:
     """P(n) exactly.
 
-    For an int n, Horner runs in integers on the numerators scaled to the
-    lcm d of the coefficient denominators, and one Fraction divides by d.
+    Horner runs on the numerators scaled to the lcm d of the coefficient
+    denominators (in integers for an int n), and one Fraction divides by d.
     """
-    if not isinstance(n, int):
-        acc = Fraction(0)
-        for c in reversed(P.coefficients):
-            acc = acc * n + c
-        return acc
     d = math.lcm(*(c.denominator for c in P.coefficients))
     acc = 0
     for c in reversed(P.coefficients):

@@ -73,8 +73,9 @@ def spanning_check(system: RootSystem) -> bool:
     n = system.rank
     coords = system.root_coords
     products = [[[c[i] * c[j] for c in coords] for j in range(n)] for i in range(n)]
+    weights = [root_fundamental(system, b) for b in range(system.num_positive)]
     for coroot in system.coroots:
-        keep = [sum(map(mul, coroot, f)) != 0 for f in system.root_weights]
+        keep = [sum(map(mul, coroot, f)) != 0 for f in weights]
         gram = [[sum(compress(p, keep)) for p in row] for row in products]
         if len(echelon(gram)[1]) < n:
             return False

@@ -379,6 +379,7 @@ class _A1xA1:
     num_positive = 2
     root_coords = ((1, 0), (0, 1))
     coroots = ((1, 0), (0, 1))
+    cartan_matrix = ((2, 0), (0, 2))
     root_weights = ((2, 0), (0, 2))
 
     def __str__(self):
