@@ -11,7 +11,8 @@ callers need is read off in integers:
 - for a square invertible A, eliminating [A | I] leaves [d I | d A^-1].
 
 `full_rank` certifies rank n mod the prime 2^61 - 1 (a minor nonzero mod p is
-nonzero over Z); when it falls short, callers fall back to `echelon`.
+nonzero over Z); when it falls short, callers fall back to `echelon`.  It keeps
+only the nonzero entries of a row, and a row's pivot is its least nonzero column.
 """
 
 from __future__ import annotations
@@ -61,16 +62,24 @@ _PRIME = 2**61 - 1
 
 
 def full_rank(rows, n: int) -> bool:
-    """True if n of the integer rows are independent mod the prime; stops at the n-th."""
-    basis: dict[int, list[int]] = {}  # pivot column -> reduced row, 1 at the pivot
+    """True if n of the integer rows are independent mod the prime; stops at the n-th.
+
+    A row is reduced by each basis row, in the order they were found, over
+    that row's nonzeros only, and entries that cancel are dropped.
+    """
+    basis: dict[int, list] = {}  # pivot -> the row's other (column, value); pivot entry 1
     for row in rows:
-        v = [x % _PRIME for x in row]
+        v = {c: r for c, x in enumerate(row) if (r := x % _PRIME)}
         for c, top in basis.items():
-            if f := v[c]:
-                v = [(x - f * y) % _PRIME for x, y in zip(v, top)]
-        if (c := next((c for c, x in enumerate(v) if x), None)) is not None:
-            inv = pow(v[c], -1, _PRIME)
-            basis[c] = [x * inv % _PRIME for x in v]
+            if f := v.pop(c, 0):
+                for k, y in top:
+                    if x := (v.get(k, 0) - f * y) % _PRIME:
+                        v[k] = x
+                    else:
+                        del v[k]
+        if v:
+            inv = pow(v.pop(c := min(v)), -1, _PRIME)
+            basis[c] = [(k, x * inv % _PRIME) for k, x in v.items()]
             if len(basis) == n:
                 return True
     return False

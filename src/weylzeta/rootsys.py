@@ -21,8 +21,7 @@ Subsystem.is_closed and efficiency.enumerate_closed_subsystems.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
-from itertools import compress
+from functools import cached_property, lru_cache
 from operator import add, mul
 
 from ._linalg import echelon, full_rank
@@ -186,15 +185,18 @@ class RootSystem:
             slot[c] = len(slot)
         self.coroot_chain: tuple[tuple[int, int], ...] = tuple(chain)
 
+    @cached_property
+    def _inverse_cartan_t(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         # eliminating [C^T | I] leaves [d I | d C^-T], d = det C; C^-T takes a
-        # weight to its simple-root coordinates
-        cartan_t = [
-            [self.cartan_matrix[k][j] for k in range(n)] + [int(i == j) for i in range(n)]
-            for j in range(n)
-        ]
-        reduced, _ = echelon(cartan_t)
-        self.cartan_det = reduced[0][0]
-        self._inv_cartan_t_num = tuple(tuple(row[n:]) for row in reduced)
+        # weight to its simple-root coordinates.  Only groups that are not simply
+        # connected read it, so the elimination runs on first read, not at build.
+        n = self.rank
+        reduced, _ = echelon([list(col) + [int(i == j) for i in range(n)]
+                              for j, col in enumerate(zip(*self.cartan_matrix))])
+        return reduced[0][0], tuple(tuple(row[n:]) for row in reduced)
+
+    cartan_det = property(lambda self: self._inverse_cartan_t[0], doc="det C")
+    _inv_cartan_t_num = property(lambda self: self._inverse_cartan_t[1], doc="det C times C^-T")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -475,18 +477,15 @@ def spanning_check(system: RootSystem) -> bool:
     root per orbit of the simple-reflection permutations is tested; the
     orbits are computed, not assumed from root lengths.
 
-    The simple-root coordinates c of those roots span Q^n iff
-    M = sum c c^T is invertible: v^T M v = sum (c.v)^2, so the kernel of M
-    is the common annihilator of the c: one n x n rank test per orbit,
-    certified mod a prime and settled exactly only when that falls short.
+    The test is the rank of the kept roots' simple-root coordinates
+    themselves, with no Gram matrix: certified mod a prime, stopping at the
+    n-th independent root, and settled exactly only when that falls short.
     """
     n = system.rank
-    coords = system.root_coords
-    products = [[[c[i] * c[j] for c in coords] for j in range(n)] for i in range(n)]
     for orbit in reflection_orbits(simple_reflections(system), system.num_positive):
         coroot = system.coroots[orbit[0]]
-        keep = [sum(map(mul, coroot, f)) != 0 for f in system.root_weights]
-        gram = [[sum(compress(p, keep)) for p in row] for row in products]
-        if not full_rank(gram, n) and len(echelon(gram)[1]) < n:
+        kept = [c for c, f in zip(system.root_coords, system.root_weights)
+                if sum(map(mul, coroot, f))]
+        if not full_rank(kept, n) and len(echelon(kept)[1]) < n:
             return False
     return True

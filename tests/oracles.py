@@ -2,7 +2,7 @@
 
 Each function here is a slower or older definition kept out of the
 package: the subspace search for full subsystems, the per-root spanning
-test, the Fraction-vector closure test, the GF(2) elimination for
+test, the dense modular rank certificate, the Fraction-vector closure test, the GF(2) elimination for
 spanning the dual of F_2^3, the truncation of a parsed degree table
 that cache hits are compared against, the Dirichlet product and power
 by their definitions, Weyl's dimension formula over ambient Fraction
@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import mul
 
-from weylzeta._linalg import annihilator, echelon
+from weylzeta._linalg import _PRIME, annihilator, echelon
 from weylzeta.repdegrees import DegreeTable, GroupSpec, dim_irrep
 from weylzeta.rootsys import RootSystem, Subsystem, _simple_roots, _vadd, build
 
@@ -80,6 +80,25 @@ def spanning_check(system: RootSystem) -> bool:
         if len(echelon(gram)[1]) < n:
             return False
     return True
+
+
+def full_rank(rows, n: int) -> bool:
+    """True if n of the integer rows are independent mod the prime; stops at the n-th.
+
+    The dense form of the certificate: every reduced row is a full list.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> reduced row, 1 at the pivot
+    for row in rows:
+        v = [x % _PRIME for x in row]
+        for c, top in basis.items():
+            if f := v[c]:
+                v = [(x - f * y) % _PRIME for x, y in zip(v, top)]
+        if (c := next((c for c, x in enumerate(v) if x), None)) is not None:
+            inv = pow(v[c], -1, _PRIME)
+            basis[c] = [x * inv % _PRIME for x in v]
+            if len(basis) == n:
+                return True
+    return False
 
 
 def simple_roots(system: RootSystem) -> tuple:

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from weylzeta import cli
+from weylzeta import cli, repdegrees, rootsys
+from weylzeta._linalg import echelon
 from weylzeta.cli import (
     CACHE_ENV,
     MAX_RANK,
@@ -457,3 +459,30 @@ def test_stdout_matches_reference_hash(capsys, key):
     code, out, err = run(capsys, *key.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _REFERENCE[key]
+
+
+def test_inverse_cartan_is_eliminated_on_first_read_only(capsys, monkeypatch):
+    # fresh root systems, and fresh caches of what is derived from them, so
+    # every build and every read of det C and C^-T happens in this test
+    def fresh(cached):
+        return lru_cache(maxsize=None)(cached.__wrapped__)
+
+    monkeypatch.setattr(rootsys, "_build", fresh(rootsys._build))
+    for name in ("_delta", "_allowed_classes", "_center_steps"):
+        monkeypatch.setattr(repdegrees, name, fresh(getattr(repdegrees, name)))
+    eliminated = []
+
+    def counting_echelon(rows):
+        eliminated.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(rootsys, "echelon", counting_echelon)
+    code, out, err = run(capsys, "zeta", "--group", "E8:sc", "--max-dim", "30000")
+    assert (code, err, out.count("\n"), eliminated) == (0, "", 5, [])
+    for key in ("zeta --group A3:adjoint --max-dim 1000",
+                "zeta --group A1xA1:cosets[0,0;1/2,1/2] --max-dim 1000"):
+        code, out, err = run(capsys, *key.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == _REFERENCE[key]
+    # one [C^T | I] elimination per system that reads it: A3, then A1 for both factors
+    assert eliminated == [3, 1]

@@ -1,12 +1,17 @@
 """The fraction-free elimination against sympy's exact matrices, and the
-modular rank certificate against the elimination."""
+sparse modular rank certificate against the elimination and against the
+dense certificate it replaced."""
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, strategies as st
 
 from weylzeta._linalg import _PRIME, annihilator, echelon, full_rank
+from weylzeta.rootsys import all_types, build
+
+import oracles
 
 entries = st.one_of(
     st.integers(-4, 4),
@@ -77,3 +82,64 @@ def test_full_rank_matches_elimination(case):
     kept = [row for row, f in zip(rows, flags) if not f]
     assert full_rank(scaled, n) is full_rank(kept, n)
     assert (len(echelon(scaled)[1]) == n) is exact
+
+
+def _counted(rows, taken: list):
+    """The rows, one at a time, each appended to taken as it is handed out."""
+    for row in rows:
+        taken.append(row)
+        yield row
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to 36 columns, mostly zeros.  Nonzeros crowd the first columns, so
+    rows share pivots with different supports and reducing them fills in
+    entries.  Some rows are a combination of two earlier ones: dependent, so
+    the fill-in must cancel exactly."""
+    n = draw(st.integers(1, 36))
+    column = st.one_of(st.integers(0, min(n, 6) - 1), st.integers(0, n - 1))
+    entry = st.integers(-9, 9).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2))
+            a, b = draw(entry), draw(entry)
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        else:
+            support = draw(st.sets(column, max_size=4))
+            rows.append([draw(entry) if c in support else 0 for c in range(n)])
+    return n, rows
+
+
+@given(sparse_rows())
+def test_sparse_full_rank_matches_elimination_and_dense_oracle(case):
+    n, rows = case
+    ranks = [len(echelon(rows[:m])[1]) for m in range(1, len(rows) + 1)]
+    for k in range(1, n + 1):
+        taken, dense_taken = [], []
+        result = full_rank(_counted(rows, taken), k)
+        assert result is oracles.full_rank(_counted(rows, dense_taken), k)
+        # the rank mod the prime is the exact rank unless the prime divides
+        # every k x k minor, which rows this small do not come near
+        assert result is (ranks[-1] >= k)
+        # it stops at the k-th independent row, the first prefix of rank k
+        assert len(taken) == len(dense_taken) == (
+            ranks.index(k) + 1 if result else len(rows))
+
+
+def _quadratic_rows(system):
+    n = system.rank
+    unknowns = [(i, j) for i in range(n) for j in range(i, n)]
+    return [[c[i] * c[j] * (1 if i == j else 2) for i, j in unknowns]
+            for c in system.root_coords], len(unknowns)
+
+
+@pytest.mark.parametrize("fr", all_types(8), ids=str)
+def test_full_rank_matches_dense_oracle_on_quadratic_rows(fr):
+    rows, m = _quadratic_rows(build(fr))
+    for k in (m, m + 1):
+        taken, dense_taken = [], []
+        assert full_rank(_counted(rows, taken), k) is (k == m)
+        assert oracles.full_rank(_counted(rows, dense_taken), k) is (k == m)
+        assert taken == dense_taken

@@ -399,7 +399,7 @@ def _no_fallback(rows):
 
 @pytest.mark.parametrize("fr", all_types(8), ids=str)
 def test_rigidity_is_certified_without_fallback(fr, monkeypatch):
-    system = build(fr)  # the build itself eliminates, so it comes first
+    system = build(fr)  # built before the patch, so only the checks meet it
     monkeypatch.setattr(rootsys, "echelon", _no_fallback)
     assert quadratic_nullspace_dim(system) == 0
     assert spanning_check(system)
