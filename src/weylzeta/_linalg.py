@@ -64,10 +64,11 @@ _PRIME = 2**61 - 1
 def full_rank(rows, n: int) -> bool:
     """True if n of the integer rows are independent mod the prime; stops at the n-th.
 
-    A row is reduced by each basis row, in the order they were found, over
-    that row's nonzeros only, and entries that cancel are dropped.
+    A row is reduced by the basis rows in the order found, over their nonzeros
+    only, and loses the entries that cancel; a basis row, scaled to 1 at its
+    pivot, keeps its later nonzeros as (column, value) pairs.
     """
-    basis: dict[int, list] = {}  # pivot -> the row's other (column, value); pivot entry 1
+    basis: dict[int, list] = {}
     for row in rows:
         v = {c: r for c, x in enumerate(row) if (r := x % _PRIME)}
         for c, top in basis.items():

@@ -2,14 +2,15 @@
 
 Each function here is a slower or older definition kept out of the
 package: the subspace search for full subsystems, the per-root spanning
-test, the dense modular rank certificate, the Fraction-vector closure test, the GF(2) elimination for
-spanning the dual of F_2^3, the truncation of a parsed degree table
-that cache hits are compared against, the Dirichlet product and power
-by their definitions, Weyl's dimension formula over ambient Fraction
-vectors and over one dot product per coroot, those vectors themselves
-(the package keeps only integer simple-root coordinates), the weights and
-coroots of the positive roots by their definitions, Horner's rule in
-Fractions, and helpers only the tests call.
+test, the dense modular rank certificate, the Fraction-vector closure
+test, the GF(2) elimination for spanning the dual of F_2^3, the
+truncation of a parsed degree table that cache hits are compared
+against, the Dirichlet product and power by their definitions, Weyl's
+dimension formula over ambient Fraction vectors and over one dot product
+per coroot, those vectors themselves (the package keeps only integer
+simple-root coordinates), the weights and coroots of the positive roots
+by their definitions, Horner's rule in Fractions, and helpers only the
+tests call.
 """
 
 from __future__ import annotations

@@ -120,8 +120,8 @@ def test_sparse_full_rank_matches_elimination_and_dense_oracle(case):
         taken, dense_taken = [], []
         result = full_rank(_counted(rows, taken), k)
         assert result is oracles.full_rank(_counted(rows, dense_taken), k)
-        # the rank mod the prime is the exact rank unless the prime divides
-        # every k x k minor, which rows this small do not come near
+        # the rank mod the prime falls short of the exact rank only if the
+        # prime divides every k x k minor, a chance of about 2^-61
         assert result is (ranks[-1] >= k)
         # it stops at the k-th independent row, the first prefix of rank k
         assert len(taken) == len(dense_taken) == (
