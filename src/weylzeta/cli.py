@@ -45,9 +45,15 @@ CACHE_ENV = "WEYLZETA_CACHE"
 # D type takes about 0.03 s, and the build time grows about as the cube of the rank.
 MAX_RANK = 16
 # The largest gassmann --max-degree: every odd degree up to it has a nonzero
-# count, and the tables take about 300 bytes per unit of the bound (tracemalloc
-# at 2*10^4 and 10^5), so 10^6 runs in about 6 s and peaks at 261 MiB of RSS.
+# count, and the tables take about 60-70 bytes per unit of the bound (tracemalloc
+# at 2*10^4 and 10^5), so 10^6 runs in about 0.7 s and peaks at 93 MiB of RSS.
 MAX_DEGREE = 10**6
+# The most entries one series of a zeta or zeta-star job may hold: walk weights
+# and dict terms, or the bound + 1 slots of a list, checked before the series is
+# built.  A list costs about 30 bytes a slot and a walk about 115 bytes a weight,
+# rendering included (A1:sc to 4*10^6: 110 MiB; A2:sc to 10^9, 4.1*10^6 weights:
+# 434 MiB), so a job the cap admits stays under about 600 MiB.
+MAX_ENTRIES = 5 * 10**6
 
 
 def _check_rank(name: str, rank: int) -> None:
@@ -139,14 +145,14 @@ def _cached_text(spec: GroupSpec, variant: str, bound: int,
                  directory: Path | None) -> str:
     fn = zeta_coefficients if variant == "zeta" else zeta_star_coefficients
     if directory is None:
-        return fn(spec, bound).to_text()
+        return fn(spec, bound, MAX_ENTRIES).to_text()
     canonical = spec.canonical()
     path = _cache_path(directory, canonical, variant)
     try:
         return _served(_unsealed(path.read_text()), canonical, variant, bound)
     except (OSError, ValueError):
         pass
-    text = fn(spec, bound).to_text()
+    text = fn(spec, bound, MAX_ENTRIES).to_text()
     # write beside the target and rename, so no reader sees half a table
     directory.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from ._linalg import annihilator, echelon
-from .rootsys import FamilyRank, RootSystem, Subsystem, build, closure, simple_reflections
+from .rootsys import FamilyRank, RootSystem, Subsystem, build, closure
 
 # Exhaustive search is limited to systems no larger than F4.
 _BRUTE_LIMIT = 24
@@ -107,7 +107,7 @@ def _full_subsystem_masks(system: RootSystem) -> list[int]:
     2^rank standard masks under the simple reflections, applied bit by bit
     as permutations of the positive-root indices.
     """
-    perms = simple_reflections(system)
+    perms = system.reflections
     found = {
         sum(1 << b for b, c in enumerate(system.root_coords)
             if all(x == 0 or J >> i & 1 for i, x in enumerate(c)))

@@ -22,7 +22,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations
 
-from .repdegrees import DegreeTable, a1_series, graded_product
+from .repdegrees import DegreeTable, as_list, a1_series, graded_product
 from .rootsys import ensure
 
 _SPACE = range(8)
@@ -183,8 +183,7 @@ def dirichlet_coeffs(O: int, E: int, bound: int) -> list[int]:
     if bound < 1:
         raise ValueError("bound must be positive")
     su2 = {0: dict(enumerate(a1_series(bound, 2)))}
-    counts = graded_product((0,) * (O + E), su2, [(1,) * O + (0,) * E], bound)
-    return [counts.get(d, 0) for d in range(bound + 1)]
+    return as_list(graded_product((0,) * (O + E), su2, [(1,) * O + (0,) * E], bound), bound)
 
 
 def group_string(hom: SignHom) -> str:

@@ -8,7 +8,10 @@ irreducible representations by dimension up to a bound.
 Spectra come from one combiner, graded_product: each factor's degrees are
 counted once per center class (the class of the highest weight modulo the
 root lattice), and the spectrum of the group is the sum, over the class
-tuples its lattice allows, of the Dirichlet products of those series.
+tuples its lattice allows, of the Dirichlet products of those series.  A
+series is a list indexed by degree when dense and a dict of its terms
+otherwise (_dense), and a product accumulates into a dict when it forms few
+pairs; DegreeTable.counts reads either like a dict.
 
 An A1 factor's series are written down in closed form by a1_series, which
 gassmann's SU(2) quotients use too.  Factors of rank >= 2 and
@@ -30,10 +33,12 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, namedtuple
+from bisect import bisect_right
+from collections import Counter, defaultdict, namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, islice, repeat
+from itertools import compress, islice, repeat, starmap, takewhile, zip_longest
 from operator import add, eq, floordiv, mul
 
 from .rootsys import FamilyRank, RootSystem, build, ensure
@@ -359,13 +364,103 @@ def _sieve(limit: int, N: int) -> tuple[bytearray, bytearray]:
     return hit, miss
 
 
+# -- series ----------------------------------------------------------------
+
+# A Dirichlet series up to a bound is held in one of two forms, chosen by
+# one density rule (_dense): a list of counts indexed by degree, of length
+# bound + 1 with index 0 unused, or a dict of its nonzero terms.  Counts are
+# Python ints, since they pass 2^63 (the odd series to the 128th power does
+# by 10^6).
+Series = list[int] | dict[int, int]
+
+
+def _dense(terms: int, bound: int) -> bool:
+    """The density rule: a series of this many terms up to bound is a list."""
+    return terms * 64 >= bound
+
+
+def _admit(entries: int, cap: int | None) -> None:
+    """Refuse a series of more entries than cap; None admits any."""
+    if cap is not None and entries > cap:
+        raise ValueError(f"the spectrum needs a series of more than {cap} entries; "
+                         "lower the bound")
+
+
+def _degrees(series: Series):
+    """The degrees of the nonzero terms in increasing order, lazily for a list."""
+    if isinstance(series, list):
+        return compress(range(len(series)), series)
+    return sorted(series)
+
+
+def _terms(series: Series):
+    """The nonzero (degree, count) terms in increasing degree, lazily for a list."""
+    if isinstance(series, list):
+        return zip(_degrees(series), compress(series, series))
+    return sorted(series.items())
+
+
+def as_list(series: Series, bound: int) -> list[int]:
+    """The series as a list up to bound: a list as it is, a dict written out."""
+    if isinstance(series, list):
+        return series
+    out = [0] * (bound + 1)
+    for d, c in series.items():
+        if d <= bound:
+            out[d] = c
+    return out
+
+
+class Counts(Mapping):
+    """Counts by dimension, read like a dict in increasing dimension.
+
+    A read-only view of the series a spectrum was computed as, list or dict;
+    a dict is kept sorted, without zero counts.  Two views are equal when
+    their nonzero terms are, whatever their forms.
+    """
+
+    __slots__ = ("series",)
+
+    def __init__(self, series: Series):
+        self.series = (series if isinstance(series, list)
+                       else {d: c for d, c in sorted(series.items()) if c})
+
+    def __getitem__(self, d):
+        s = self.series
+        if not isinstance(s, list):
+            return s[d]
+        if isinstance(d, int) and 0 < d < len(s) and s[d]:
+            return s[d]
+        raise KeyError(d)
+
+    def __iter__(self):
+        return _degrees(self.series) if isinstance(self.series, list) else iter(self.series)
+
+    def __len__(self):
+        s = self.series
+        return len(s) - s.count(0) if isinstance(s, list) else len(s)
+
+    def __eq__(self, other):
+        if isinstance(other, Counts):
+            theirs = _terms(other.series)
+        elif isinstance(other, Mapping):
+            theirs = sorted(other.items())
+        else:
+            return NotImplemented
+        return all(starmap(eq, zip_longest(_terms(self.series), theirs)))
+
+    def __repr__(self):  # a dict's, so a table's repr reads as before
+        return repr(dict(_terms(self.series)))
+
+
 # -- spectra ---------------------------------------------------------------
 
 
 class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
     """Counts of irreducible representations by dimension up to a bound.
 
-    variant is "zeta" or "zeta_star"; counts maps dimension to count.
+    variant is "zeta" or "zeta_star"; counts, a Counts, maps dimension to
+    count.  A series or dict given as counts is wrapped in one.
     """
 
     __slots__ = ()
@@ -373,6 +468,12 @@ class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
     _HEADER = re.compile(
         r"^#\s*weylzeta v1 group=(\S+) variant=(zeta|zeta_star) maxdim=(\d+)\s*$"
     )
+    _CHUNK = 4096  # rows joined into one string at a time by to_text
+
+    def __new__(cls, group: str, variant: str, bound: int, counts):
+        if not isinstance(counts, Counts):
+            counts = Counts(counts)
+        return super().__new__(cls, group, variant, bound, counts)
 
     @staticmethod
     def header(group: str, variant: str, bound: int) -> str:
@@ -380,8 +481,18 @@ class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
         return f"# weylzeta v1 group={group} variant={variant} maxdim={bound}\n"
 
     def to_text(self) -> str:
-        rows = (f"{d}\t{c}\n" for d, c in sorted(self.counts.items()) if c)
-        return self.header(self.group, self.variant, self.bound) + "".join(rows)
+        """The header, then one row per nonzero count in increasing dimension.
+
+        Rows are formatted straight from the series and joined a chunk at a
+        time, so no tuple or string per row outlives its chunk.
+        """
+        s = self.counts.series
+        values = compress(s, s) if isinstance(s, list) else s.values()
+        rows = map("{}\t{}\n".format, self.counts, values)
+        chunks = [self.header(self.group, self.variant, self.bound)]
+        while chunk := "".join(islice(rows, self._CHUNK)):
+            chunks.append(chunk)
+        return "".join(chunks)
 
     @classmethod
     def from_text(cls, text: str) -> "DegreeTable":
@@ -400,34 +511,103 @@ class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
 
 # -- center-graded Dirichlet convolution -----------------------------------
 
-Series = dict[int, int]  # dimension -> count, zero counts omitted
+
+def _pairs(a: Series, b: Series, bound: int, stop: int) -> int:
+    """The pairs (i, j) of nonzero terms with i * j <= bound, or, when there
+    are at least stop, a count between stop and the number of pairs.
+
+    Only the first stop degrees of b are read, and a's degrees only until
+    the count reaches stop, so a dense operand costs O(stop).
+    """
+    js = list(islice(takewhile(bound.__ge__, _degrees(b)), stop))
+    count = 0
+    for i in _degrees(a):
+        n = bisect_right(js, bound // i)
+        count += n
+        if not n or count >= stop:
+            break
+    return count
 
 
-def _series(dense: list[int]) -> Series:
-    """The nonzero entries of a list indexed by dimension, in increasing order."""
-    return dict(zip(compress(range(len(dense)), dense), compress(dense, dense)))
-
-
-def _dirichlet_mul(a: Series, b: Series, bound: int) -> Series:
-    """Dirichlet product up to bound; a square (a is b) sums each pair i <= j once."""
-    out = [0] * (bound + 1)
-    b_items = sorted(b.items())
-    square = a is b
-    for k, (i, ai) in enumerate(b_items if square else a.items()):
+def _pair_loop(out, a: Series, b: Series, bound: int, square: bool):
+    """Add each product term a_i b_j, i * j <= bound, into out[i * j]."""
+    b_terms = list(_terms(b))
+    for k, (i, ai) in enumerate(b_terms if square else _terms(a)):
         limit = bound // i
         if square:
             if i > limit:
                 break
             out[i * i] += ai * ai
             ai *= 2
-        for j, bj in islice(b_items, k + 1, None) if square else b_items:
+        for j, bj in islice(b_terms, k + 1, None) if square else b_terms:
             if j > limit:
                 break
             out[i * j] += ai * bj
-    return _series(out)
+    return out
 
 
-def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
+def _axpy(out: list[int], i: int, ai: int, b: list[int], lo: int, hi: int) -> None:
+    """out[i * j] += ai * b[j] for lo <= j <= hi, as one slice."""
+    hi = min(hi, len(b) - 1)
+    if lo <= hi:
+        cells = slice(i * lo, i * hi + 1, i)
+        seg = b[lo:hi + 1]
+        out[cells] = map(add, out[cells], seg if ai == 1 else map(mul, repeat(ai), seg))
+
+
+def _sliced_mul(out: list[int], a: Series, b: list[int], bound: int, square: bool):
+    """The product into out with b a list, one slice of b per term of a.
+
+    For a list a, the pairs split at s = isqrt(bound): the terms i <= s of
+    a each take a slice of b, and the terms j <= bound // (s + 1) of b each
+    take a slice of a past s, so O(sqrt(bound)) slices cover all pairs.  A
+    square (a is b) has i <= j, so i <= s already.
+    """
+    split = math.isqrt(bound) if isinstance(a, list) else bound
+    for i, ai in _terms(a):
+        if i > split:
+            break
+        lo = 1
+        if square:
+            out[i * i] += ai * ai
+            lo, ai = i + 1, 2 * ai
+        _axpy(out, i, ai, b, lo, bound // i)
+    if isinstance(a, list) and not square:
+        for j, bj in _terms(b):
+            if j > bound // (split + 1):
+                break
+            _axpy(out, j, bj, a, split + 1, bound // j)
+    return out
+
+
+def _dirichlet_mul(a: Series, b: Series, bound: int, cap: int | None = None) -> Series:
+    """Dirichlet product up to bound; a square (a is b) sums each pair i <= j once.
+
+    The pairs i * j <= bound the product forms pick its form: fewer than
+    bound / 8 accumulate into a dict, returned sorted without zeros, more
+    into a list.  A dict entry costs about ten list slots, and a product has
+    at most as many terms as pairs, so the dict is the smaller below that
+    (G2xA2:sc to 10^5 forms 6,377 pairs, about 3,000 terms).  The count
+    stops as soon as the pairs are many, or more than cap, which refuses
+    the product.
+    """
+    square = a is b
+    stop = bound // 8 if cap is None else min(bound // 8, cap)
+    pairs = _pairs(a, b, bound, stop + 1)
+    if pairs * 8 < bound:
+        _admit(pairs, cap)
+        out = _pair_loop(defaultdict(int), a, b, bound, square)
+        return {d: out[d] for d in sorted(out) if out[d]}
+    _admit(bound + 1, cap)
+    out = [0] * (bound + 1)
+    if isinstance(a, list) and not isinstance(b, list):
+        a, b = b, a
+    if isinstance(b, list):
+        return _sliced_mul(out, a, b, bound, square)
+    return _pair_loop(out, a, b, bound, square)
+
+
+def _dirichlet_pow(base: Series, k: int, bound: int, cap: int | None = None) -> Series:
     """base ** k for k >= 1, up to bound, by one of two exact paths.
 
     Square-and-multiply squares from the top bit of k down, with only
@@ -437,28 +617,31 @@ def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
     power squares after all.
 
     The rule reads only k, len(base), bound and f(1): the prime-by-prime
-    path is tried iff f(1) = 1, the base is dense (len(base) * 64 >= bound)
-    and k >= 3.  Medians of seven in-process runs on a 2-core VM, ms,
-    square-and-multiply / prime by prime:
+    path is tried iff f(1) = 1, the base is dense (_dense(len(base), bound),
+    so every list) and k >= 3.  The least of three medians of seven
+    in-process runs on a 2-core VM, ms, square-and-multiply on lists /
+    prime by prime:
 
         series, bound    k = 2       k = 3       k = 4       k = 8
-        all, 2000        1.2 / 1.3   3.6 / 1.3   2.5 / 1.3   4.1 / 1.4
-        all, 20000      17.1 / 14.9 50.3 / 14.4 36.4 / 14.7 55.6 / 15.3
-        odd, 2000        0.5 / 1.3   1.5 / 1.3   1.0 / 1.3   1.5 / 1.3
-        odd, 20000       6.3 / 11.5 18.5 / 11.9 13.6 / 12.3 21.4 / 13.1
+        all, 2000        0.6 / 0.7   1.5 / 0.7   1.2 / 0.7   1.9 / 0.7
+        all, 20000       7.1 / 6.2  18.0 / 6.2  15.0 / 6.3  24.9 / 6.5
+        odd, 2000        0.4 / 0.7   0.9 / 0.7   0.7 / 0.7   1.1 / 0.7
+        odd, 20000       4.3 / 6.3  10.5 / 6.3   8.7 / 6.4  13.1 / 6.4
 
     A dense base that is not multiplicative usually fails the check on a
     short prefix, before the O(bound) tables are built.
     """
-    if base.get(1) == 1 and k >= 3 and len(base) * 64 >= bound:
+    one = base[1:2] == [1] if isinstance(base, list) else base.get(1) == 1
+    if one and k >= 3 and _dense(len(base), bound):
+        _admit(bound + 1, cap)
         power = _multiplicative_pow(base, k, bound)
         if power is not None:
             return power
     result = base
     for bit in bin(k)[3:]:
-        result = _dirichlet_mul(result, result, bound)
+        result = _dirichlet_mul(result, result, bound, cap)
         if bit == "1":
-            result = _dirichlet_mul(result, base, bound)
+            result = _dirichlet_mul(result, base, bound, cap)
     return result
 
 
@@ -482,9 +665,9 @@ def _least_prime_parts(powers: list[list[int]], limit: int) -> list[int]:
     return part
 
 
-def _multiplicative_pow(base: Series, k: int, bound: int) -> Series | None:
-    """base ** k from its values at prime powers, or None if base is not
-    multiplicative up to bound.
+def _multiplicative_pow(base: Series, k: int, bound: int) -> list[int] | None:
+    """base ** k from its values at prime powers as a list, or None if base
+    is not multiplicative up to bound.
 
     Write n = m q with q = part[n] from _least_prime_parts; m and q are
     coprime, and m = 1 iff n is a prime power.  The base is multiplicative
@@ -502,8 +685,8 @@ def _multiplicative_pow(base: Series, k: int, bound: int) -> Series | None:
     small = list(compress(range(math.isqrt(bound) + 1), _primes(math.isqrt(bound))))
     powers = [[p**e for e in range(1, bound.bit_length()) if p**e <= bound]
               for p in small]
+    f = as_list(base, bound)
     for limit in (math.isqrt(bound), bound):
-        f = list(map(base.get, range(limit + 1), repeat(0)))
         part = _least_prime_parts(powers, limit)
         fm = map(f.__getitem__, map(floordiv, range(limit + 1), part))
         if not all(map(eq, f, map(mul, fm, map(f.__getitem__, part)))):
@@ -520,10 +703,28 @@ def _multiplicative_pow(base: Series, k: int, bound: int) -> Series | None:
     g = [0, 1]
     for n, q in enumerate(islice(part, 2, None), 2):
         g.append(g[n // q] * local[q])
-    return _series(g)
+    return g
 
 
-def graded_product(factors, graded, tuples, bound: int, memo=None) -> Series:
+def _least(series: Series) -> int | None:
+    """The least degree of a term, None when there is none."""
+    if isinstance(series, list):
+        return next(_degrees(series), None)
+    return min(series, default=None)
+
+
+def _sum(a: Series, b: Series, bound: int) -> Series:
+    """a + b as a new series, a list when either is one."""
+    if isinstance(a, list) or isinstance(b, list):
+        return list(map(add, as_list(a, bound), as_list(b, bound)))
+    out = dict(a)
+    for d, c in b.items():
+        out[d] = out.get(d, 0) + c
+    return out
+
+
+def graded_product(factors, graded, tuples, bound: int, memo=None,
+                   cap: int | None = None) -> Series:
     """Sum over class tuples of the Dirichlet product of the factors' series.
 
     factors holds one key per factor, graded[key] maps a center class to
@@ -532,11 +733,13 @@ def graded_product(factors, graded, tuples, bound: int, memo=None) -> Series:
     same multiset of pairs share one product, computed once; a tuple is
     skipped when even its smallest degree, the product of the least
     dimensions, exceeds the bound.  memo, a dict, keeps the products by
-    that multiset for later calls with the same graded and bound.
+    that multiset for later calls with the same graded and bound.  No
+    series is changed in place, so products are shared, with the memo and
+    with the result; cap refuses a product of more entries.
     """
     pairs = {pair for classes in tuples for pair in zip(factors, classes)}
-    least = {(key, c): min(s) for key, c in pairs if (s := graded[key].get(c))}
-    total: Counter = Counter()
+    least = {(key, c): d for key, c in pairs if (d := _least(graded[key].get(c, {})))}
+    total = None
     multisets = Counter(frozenset(Counter(zip(factors, classes)).items()) for classes in tuples)
     for groups, times in multisets.items():
         if any(pair not in least for pair, _ in groups):
@@ -545,12 +748,18 @@ def graded_product(factors, graded, tuples, bound: int, memo=None) -> Series:
             continue
         product = None if memo is None else memo.get(groups)
         if product is None:
-            powers = [_dirichlet_pow(graded[key][c], k, bound) for (key, c), k in groups]
-            product = reduce(lambda a, b: _dirichlet_mul(a, b, bound), powers or [{1: 1}])
+            powers = [_dirichlet_pow(graded[key][c], k, bound, cap) for (key, c), k in groups]
+            product = reduce(lambda a, b: _dirichlet_mul(a, b, bound, cap), powers or [{1: 1}])
             if memo is not None:
                 memo[groups] = product
-        total.update(product if times == 1 else {d: times * c for d, c in product.items()})
-    return dict(total)
+        if times > 1:
+            product = ([times * c for c in product] if isinstance(product, list)
+                       else {d: times * c for d, c in product.items()})
+        total = product if total is None else _sum(total, product, bound)
+    return {} if total is None else total
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def a1_series(bound: int, m: int, hit=None) -> list[Series]:
@@ -559,18 +768,22 @@ def a1_series(bound: int, m: int, hit=None) -> list[Series]:
     The weight with shifted coordinate t has dimension t, and raising it steps
     the class, so with m classes in step order from the zero class, class j
     holds each t = j + 1 mod m once.  t is also the coordinate gcd, so a
-    strip sieve hit from _sieve drops every t it flags.
+    strip sieve hit from _sieve (of length bound + 1) drops every t it flags.
     """
     series = []
     for j in range(m):
         ts = range(j + 1, bound + 1, m)
-        if hit is not None:
-            ts = compress(ts, hit[j + 1::m].translate(bytes.maketrans(b"\0\1", b"\1\0")))
-        series.append(dict.fromkeys(ts, 1))
+        keep = b"\1" * len(ts) if hit is None else hit[j + 1::m].translate(_FLIP)
+        if _dense(keep.count(1), bound):
+            s = [0] * (bound + 1)
+            s[j + 1::m] = keep
+        else:
+            s = dict.fromkeys(compress(ts, keep), 1)
+        series.append(s)
     return series
 
 
-def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
+def _spectrum(spec: GroupSpec, D: int, star: bool, cap: int | None = None) -> Series:
     """Degree counts up to D; star keeps the weights no prime = 1 mod N strips.
 
     Each distinct factor's weights are counted once, by center class, as the
@@ -578,6 +791,8 @@ def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
     coordinates are g times positive integers, so its dimension is at least
     g ** |Phi+| for their gcd g; the strip flags are sieved only that far,
     and not at all when no prime = 1 mod N (each exceeds N) is that small.
+    cap, if given, refuses a walk that yields more weights, an A1 list or a
+    product of more entries, before the series is built.
     """
     N = N_of(spec) if star else None
     graded: dict[FamilyRank, dict[tuple, Series]] = {}
@@ -586,23 +801,29 @@ def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
         hit = _sieve(gmax, N)[0] if star and gmax > N else None
         classes = _center_steps(fr, spec.kind)[0]
         if fr.rank == 1:
+            _admit(D + 1, cap)
             counts = a1_series(D, len(classes), hit)
         else:
             counts = [{} for _ in classes]
-            for d, c, shifted in _factor_spectrum(fr, D, spec.kind):
+            walk = _factor_spectrum(fr, D, spec.kind)
+            for d, c, shifted in islice(walk, cap):
                 if hit is None or not hit[math.gcd(*shifted)]:
                     series = counts[c]
                     series[d] = series.get(d, 0) + 1
+            if next(walk, None) is not None:
+                _admit(cap + 1, cap)
         graded[fr] = dict(zip(classes, counts))
-    return graded_product(spec.factors, graded, _allowed_classes(spec), D)
+    return graded_product(spec.factors, graded, _allowed_classes(spec), D, cap=cap)
 
 
-def zeta_coefficients(spec: GroupSpec, D: int) -> DegreeTable:
-    return DegreeTable(spec.canonical(), "zeta", D, _spectrum(spec, D, star=False))
+def zeta_coefficients(spec: GroupSpec, D: int, cap: int | None = None) -> DegreeTable:
+    """The table of zeta up to D; cap as in _spectrum."""
+    return DegreeTable(spec.canonical(), "zeta", D, _spectrum(spec, D, False, cap))
 
 
-def zeta_star_coefficients(spec: GroupSpec, D: int) -> DegreeTable:
-    return DegreeTable(spec.canonical(), "zeta_star", D, _spectrum(spec, D, star=True))
+def zeta_star_coefficients(spec: GroupSpec, D: int, cap: int | None = None) -> DegreeTable:
+    """The table of zeta_star up to D; cap as in _spectrum."""
+    return DegreeTable(spec.canonical(), "zeta_star", D, _spectrum(spec, D, True, cap))
 
 
 def euler_identity_check(spec: GroupSpec, D: int) -> bool:
@@ -617,7 +838,7 @@ def euler_identity_check(spec: GroupSpec, D: int) -> bool:
     for fr in spec.factors:
         m = build(fr).num_positive
         series = _dirichlet_mul(series, {n**m: 1 for n in smooth if n**m <= D}, D)
-    return series == _spectrum(spec, D, star=False)
+    return Counts(series) == Counts(_spectrum(spec, D, star=False))
 
 
 def _is_prime_power(n: int) -> bool:

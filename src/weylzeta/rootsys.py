@@ -195,6 +195,11 @@ class RootSystem:
                               for j, col in enumerate(zip(*self.cartan_matrix))])
         return reduced[0][0], tuple(tuple(row[n:]) for row in reduced)
 
+    @cached_property
+    def reflections(self) -> list[tuple[int, ...]]:
+        """simple_reflections of this system, built on first read."""
+        return simple_reflections(self)
+
     cartan_det = property(lambda self: self._inverse_cartan_t[0], doc="det C")
     _inv_cartan_t_num = property(lambda self: self._inverse_cartan_t[1], doc="det C times C^-T")
 
@@ -482,7 +487,7 @@ def spanning_check(system: RootSystem) -> bool:
     n-th independent root, and settled exactly only when that falls short.
     """
     n = system.rank
-    for orbit in reflection_orbits(simple_reflections(system), system.num_positive):
+    for orbit in reflection_orbits(system.reflections, system.num_positive):
         coroot = system.coroots[orbit[0]]
         kept = [c for c, f in zip(system.root_coords, system.root_weights)
                 if sum(map(mul, coroot, f))]

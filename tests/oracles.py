@@ -5,7 +5,8 @@ package: the subspace search for full subsystems, the per-root spanning
 test, the dense modular rank certificate, the Fraction-vector closure
 test, the GF(2) elimination for spanning the dual of F_2^3, the
 truncation of a parsed degree table that cache hits are compared
-against, the Dirichlet product and power by their definitions, Weyl's
+against, the nonzero terms of a series in either form as a dict, the
+Dirichlet product and power by their definitions, Weyl's
 dimension formula over ambient Fraction vectors and over one dot product
 per coroot, those vectors themselves (the package keeps only integer
 simple-root coordinates), the weights and coroots of the positive roots
@@ -296,11 +297,17 @@ def truncated(table: DegreeTable, bound: int) -> DegreeTable:
     )
 
 
+def as_dict(series):
+    """The nonzero terms of a series, list or dict, as a dict in the series' order."""
+    items = enumerate(series) if isinstance(series, list) else series.items()
+    return {d: c for d, c in items if c}
+
+
 def pair_loop(a, b, bound):
     """The Dirichlet product by its definition: every ordered pair once."""
     out = {}
-    for i, ai in a.items():
-        for j, bj in b.items():
+    for i, ai in as_dict(a).items():
+        for j, bj in as_dict(b).items():
             if i * j <= bound:
                 out[i * j] = out.get(i * j, 0) + ai * bj
     return {d: c for d, c in sorted(out.items()) if c}

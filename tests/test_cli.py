@@ -329,6 +329,30 @@ def test_gassmann_degree_cap(capsys, monkeypatch):
     assert (code, out.splitlines()[-1]) == (0, "PASS")
 
 
+@pytest.mark.parametrize("command,group,bound,refused,admitted", [
+    ("zeta", "A1:sc", 100, 100, 101),  # one list of 101 slots
+    ("zeta-star", "A2:sc", 2000, 481, 482),  # a walk of 482 weights
+    ("zeta", "E8xE8:sc", 10**7, 29, 30),  # walks of 12 weights; a square of 30 pairs
+    ("zeta", "A2xA2:sc", 10**5, 10**5, 10**5 + 1),  # walks of 7,756; a product list
+])
+def test_entry_cap(tmp_path, capsys, monkeypatch, command, group, bound, refused, admitted):
+    # the cap counts entries, not the bound: over it nothing is printed,
+    # written or cached; at it the table is the uncapped one
+    argv = [command, "--group", group, "--max-dim", str(bound)]
+    code, expect, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "MAX_ENTRIES", refused)
+    out_file, cache = tmp_path / "t.tsv", tmp_path / "cache"
+    for extra in ([], ["--out", str(out_file)], ["--cache", str(cache)]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"more than {refused} entries" in err
+        assert "Traceback" not in err
+    assert not out_file.exists() and not cache.exists()
+    monkeypatch.setattr(cli, "MAX_ENTRIES", admitted)
+    assert run(capsys, *argv) == (0, expect, "")
+
+
 def test_group_rank_cap(capsys):
     big = MAX_RANK + 1
     coset = ",".join(["0"] * (big + 1))

@@ -38,6 +38,7 @@ from weylzeta.rootsys import all_types, build
 import oracles
 from oracles import (
     allowable_at,
+    as_dict,
     dim_irrep_product,
     recover_factor_sizes,
     root_basis_coords,
@@ -425,7 +426,7 @@ def test_a1_series_matches_walk(kind, N):
         for d, c, shifted in _factor_spectrum(A1, bound, kind):
             if hit is None or not hit[math.gcd(*shifted)]:
                 expect[c][d] = expect[c].get(d, 0) + 1
-        assert a1_series(bound, len(classes), hit) == expect, bound
+        assert [as_dict(s) for s in a1_series(bound, len(classes), hit)] == expect, bound
 
 
 A1_ENGINE_CASES = [
@@ -462,10 +463,6 @@ def _sum_over_tuples(factors, graded, tuples, bound):
     return {d: v for d, v in expect.items() if v}
 
 
-def _nonzero(series):
-    return {d: v for d, v in series.items() if v}
-
-
 @pytest.mark.parametrize("bound", [1, 2, 60, 500])
 def test_graded_product_matches_sum_over_tuples(bound):
     # repeated (factor, class) pairs are raised to a power and empty or
@@ -481,7 +478,7 @@ def test_graded_product_matches_sum_over_tuples(bound):
         chosen += [(1, 0, 2, 1), (1, 1, 2, 0), (0, 1, 2, 1)]
         expect = _sum_over_tuples(factors, graded, set(chosen), bound)
         got = graded_product(factors, graded, set(chosen), bound)
-        assert _nonzero(got) == expect
+        assert as_dict(got) == expect
 
 
 # Tuples over the factors (a, a, b, a): the first two differ only in b's
@@ -504,8 +501,8 @@ def test_graded_product_memo_matches_definition(bound):
     rounds = [set(NEAR_TUPLES)] + [{t, *rng.sample(tuples, 8)} for t in NEAR_TUPLES]
     for chosen in rounds:
         expect = _sum_over_tuples(factors, graded, chosen, bound)
-        assert _nonzero(graded_product(factors, graded, chosen, bound)) == expect
-        assert _nonzero(graded_product(factors, graded, chosen, bound, memo)) == expect
+        assert as_dict(graded_product(factors, graded, chosen, bound)) == expect
+        assert as_dict(graded_product(factors, graded, chosen, bound, memo)) == expect
     # one entry per multiset of ((factor, class), exponent); every tuple fits
     # the bound, since each series has a degree-1 term
     assert set(memo) == {frozenset(collections.Counter(zip(factors, t)).items())
@@ -610,9 +607,86 @@ def test_dirichlet_square_matches_pair_loop(bound, density):
         if not a:
             continue
         square = _dirichlet_mul(a, a, bound)
-        assert square == _dirichlet_mul(a, dict(a), bound) == _pair_loop(a, a, bound)
-        assert list(square) == sorted(square)
-        assert _dirichlet_pow(a, 3, bound) == _pair_loop(_pair_loop(a, a, bound), a, bound)
+        assert as_dict(square) == as_dict(_dirichlet_mul(a, dict(a), bound)) == _pair_loop(a, a, bound)
+        assert list(as_dict(square)) == sorted(as_dict(square))
+        assert as_dict(_dirichlet_pow(a, 3, bound)) == _pair_loop(_pair_loop(a, a, bound), a, bound)
+
+
+# -- series by density: both forms, both product paths -------------------------
+
+FORMS = {"dict": lambda s, bound: dict(s), "list": repdegrees.as_list}
+
+
+def _force_path(monkeypatch, path):
+    """Make _dirichlet_mul accumulate into a dict or a list whatever the pairs."""
+    if path == "dict":
+        monkeypatch.setattr(repdegrees, "_pairs", lambda a, b, bound, stop: 0)
+    elif path == "list":
+        monkeypatch.setattr(repdegrees, "_pairs", lambda a, b, bound, stop: stop)
+
+
+@pytest.mark.parametrize("path", ["dict", "list", "rule"])
+@pytest.mark.parametrize("bound", [1, 2, 3, 30, 400])
+def test_dirichlet_mul_forms_and_paths_match_pair_loop(monkeypatch, path, bound):
+    # sparse and dense, signed counts, dict keys past the bound, every pair of
+    # forms and the squares of each form, on each accumulator
+    _force_path(monkeypatch, path)
+    rng = random.Random(f"{path}{bound}")
+    for density in (0.02, 0.3, 1.0):
+        for _ in range(3):
+            a, b = (_random_series(rng, bound + 3, density) for _ in range(2))
+            for fa, fb in itertools.product(FORMS, repeat=2):
+                x, y = FORMS[fa](a, bound), FORMS[fb](b, bound)
+                assert as_dict(_dirichlet_mul(x, y, bound)) == _pair_loop(a, b, bound), (fa, fb)
+            for form in FORMS.values():
+                x = form(a, bound)
+                assert as_dict(_dirichlet_mul(x, x, bound)) == _pair_loop(a, a, bound)
+                assert as_dict(_dirichlet_pow(x, 3, bound)) == oracles.dirichlet_pow(a, 3, bound)
+
+
+def test_pair_count_stops_at_stop():
+    rng = random.Random(64)
+    for bound in (1, 2, 50, 600):
+        for density in (0.02, 0.3, 1.0):
+            a, b = (_random_series(rng, bound + 3, density) for _ in range(2))
+            pairs = sum(i * j <= bound for i in a for j in b)
+            for fa, fb in itertools.product(FORMS, repeat=2):
+                x, y = FORMS[fa](a, bound), FORMS[fb](b, bound)
+                for stop in (1, 5, pairs, pairs + 1, 10**9):
+                    count = repdegrees._pairs(x, y, bound, stop)
+                    assert min(count, stop) == min(pairs, stop) and count <= pairs
+
+
+def test_product_form_rule(monkeypatch):
+    # fewer than bound / 8 pairs accumulate into a dict, more into a list
+    seen = []
+    real = repdegrees._dirichlet_mul
+
+    def spy(a, b, bound, cap=None):
+        out = real(a, b, bound, cap)
+        seen.append((a is b, type(out).__name__))
+        return out
+
+    monkeypatch.setattr(repdegrees, "_dirichlet_mul", spy)
+    for text, bound, want in [("G2xA2:sc", 10**5, [(False, "dict")]),
+                              ("E8xE8:sc", 10**7, [(True, "dict")]),
+                              ("G2xG2xG2:sc", 10**7, [(True, "dict"), (False, "dict")]),
+                              ("A1xA1:sc", 7000, [(True, "list")])]:
+        seen.clear()
+        zeta_coefficients(GroupSpec.parse(text), bound)
+        assert seen == want, text
+
+
+def test_counts_read_like_a_dict():
+    # a list-backed and a dict-backed table read alike, and equal each other
+    dense = zeta_coefficients(GroupSpec.parse("A1:adjoint"), 9).counts
+    sparse = zeta_coefficients(GroupSpec.parse("E8xE8:sc"), 10**4).counts
+    assert isinstance(dense.series, list) and isinstance(sparse.series, dict)
+    assert dense == {1: 1, 3: 1, 5: 1, 7: 1, 9: 1} == repdegrees.Counts(dict(dense))
+    assert list(dense) == [1, 3, 5, 7, 9] and len(dense) == 5
+    assert (3 in dense, 4 in dense, 10 in dense, 0 in dense) == (True, False, False, False)
+    assert dense[9] == 1 and dense.get(4, 0) == 0 and dense != {1: 1}
+    assert list(sparse) == sorted(sparse) and sparse[1] == 1 and 248 in sparse
 
 
 # -- Dirichlet powers: prime by prime and square-and-multiply ---------------
@@ -636,8 +710,8 @@ def test_dirichlet_pow_matches_definition(k, one):
             if not base:
                 continue
             got = _dirichlet_pow(base, k, bound)
-            assert got == oracles.dirichlet_pow(base, k, bound), (bound, density, signed)
-            assert list(got) == sorted(got)
+            assert as_dict(got) == oracles.dirichlet_pow(base, k, bound), (bound, density, signed)
+            assert list(as_dict(got)) == sorted(as_dict(got))
 
 
 def _multiplicative_base(rng, bound, values):
@@ -675,9 +749,9 @@ def test_multiplicative_pow_matches_definition(k, bound):
         base = _multiplicative_base(rng, bound, (-3, -1, 0, 1, 2, 5))
         base[bound + 1] = base.get(bound + 1, 0) + 1
         want = oracles.dirichlet_pow(base, k, bound)
-        assert _dirichlet_pow(base, k, bound) == want
+        assert as_dict(_dirichlet_pow(base, k, bound)) == want
         # at k = 1 the definition returns the base itself, keys past the bound too
-        assert repdegrees._multiplicative_pow(base, k, bound) == {
+        assert as_dict(repdegrees._multiplicative_pow(base, k, bound)) == {
             d: c for d, c in want.items() if d <= bound}
 
 
@@ -696,7 +770,7 @@ def test_dirichlet_pow_falls_back_off_multiplicative(monkeypatch, bound, where):
     n = _largest_with_two_primes(bound) if where == "two primes" else 4
     base[n] = base.get(n, 0) + 1
     got = _dirichlet_pow(base, 7, bound)
-    assert got == oracles.dirichlet_pow(base, 7, bound)
+    assert as_dict(got) == oracles.dirichlet_pow(base, 7, bound)
     assert calls == [(7, bound, False)]
 
 
@@ -718,10 +792,10 @@ def test_dirichlet_pow_path_rule(monkeypatch):
     assert calls == []
     # the A1 series less the values a strip sieve flags stays multiplicative
     (kept,) = a1_series(2000, 1, _sieve(2000, 4)[0])
-    assert 2000 > len(kept) >= 2000 / 64
+    assert 2000 > len(as_dict(kept)) >= 2000 / 64
     _dirichlet_pow(kept, 5, 2000)
     # A2's class-0 series is dense at 2000 but 10 = 2 * 5 has two weights
-    dense = zeta_coefficients(GroupSpec.parse("A2:adjoint"), 2000).counts
+    dense = as_dict(zeta_coefficients(GroupSpec.parse("A2:adjoint"), 2000).counts)
     assert len(dense) * 64 >= 2000 and dense[10] == 2
     _dirichlet_pow(dense, 7, 2000)
     assert calls == [(5, 2000, True), (7, 2000, False)]

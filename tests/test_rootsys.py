@@ -381,6 +381,7 @@ class _A1xA1:
     coroots = ((1, 0), (0, 1))
     cartan_matrix = ((2, 0), (0, 2))
     root_weights = ((2, 0), (0, 2))
+    reflections = property(simple_reflections)
 
     def __str__(self):
         # A stable test id; the default repr carries a memory address.

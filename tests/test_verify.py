@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from weylzeta import verify
+from weylzeta import rootsys, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -70,3 +71,20 @@ def test_prime_order_limit_fails_on_a_wrong_efficiency(name, wrong, monkeypatch)
         real(n)._replace(**wrong) if str(n) == name else real(n)))
     with pytest.raises(AssertionError, match=name):
         verify.check_prime_order_limit()
+
+
+def test_reflections_built_once_per_system(monkeypatch):
+    # fresh root systems, so every system the ledger reads is built in this
+    # run; the rigidity check reads the reflections of all 31 types of rank
+    # <= 8, and the efficiency search reads them again for the types it walks
+    monkeypatch.setattr(rootsys, "_build", lru_cache(maxsize=None)(rootsys._build.__wrapped__))
+    built = []
+    real = rootsys.simple_reflections
+
+    def counting(system):
+        built.append(system.id)
+        return real(system)
+
+    monkeypatch.setattr(rootsys, "simple_reflections", counting)
+    assert all(r.passed for r in verify.run_checks())
+    assert len(built) == len(set(built)) == 31
