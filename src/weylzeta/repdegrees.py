@@ -387,14 +387,15 @@ def _admit(entries: int, cap: int | None) -> None:
 
 
 def _degrees(series: Series):
-    """The degrees of the nonzero terms in increasing order, lazily for a list."""
+    """The degrees of the terms (a list's nonzero entries, a dict's keys) in
+    increasing order, lazily for a list."""
     if isinstance(series, list):
         return compress(range(len(series)), series)
     return sorted(series)
 
 
 def _terms(series: Series):
-    """The nonzero (degree, count) terms in increasing degree, lazily for a list."""
+    """The (degree, count) terms, as _degrees, in increasing degree."""
     if isinstance(series, list):
         return zip(_degrees(series), compress(series, series))
     return sorted(series.items())
