@@ -48,12 +48,6 @@ MAX_RANK = 16
 # count, and the tables take about 60-70 bytes per unit of the bound (tracemalloc
 # at 2*10^4 and 10^5), so 10^6 runs in about 0.7 s and peaks at 93 MiB of RSS.
 MAX_DEGREE = 10**6
-# The most entries one series of a zeta or zeta-star job may hold: walk weights
-# and dict terms, or the bound + 1 slots of a list, checked before the series is
-# built.  A list costs about 30 bytes a slot and a walk about 115 bytes a weight,
-# rendering included (A1:sc to 4*10^6: 110 MiB; A2:sc to 10^9, 4.1*10^6 weights:
-# 434 MiB), so a job the cap admits stays under about 600 MiB.
-MAX_ENTRIES = 5 * 10**6
 
 
 def _check_rank(name: str, rank: int) -> None:
@@ -145,14 +139,14 @@ def _cached_text(spec: GroupSpec, variant: str, bound: int,
                  directory: Path | None) -> str:
     fn = zeta_coefficients if variant == "zeta" else zeta_star_coefficients
     if directory is None:
-        return fn(spec, bound, MAX_ENTRIES).to_text()
+        return fn(spec, bound).to_text()
     canonical = spec.canonical()
     path = _cache_path(directory, canonical, variant)
     try:
         return _served(_unsealed(path.read_text()), canonical, variant, bound)
     except (OSError, ValueError):
         pass
-    text = fn(spec, bound, MAX_ENTRIES).to_text()
+    text = fn(spec, bound).to_text()
     # write beside the target and rename, so no reader sees half a table
     directory.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

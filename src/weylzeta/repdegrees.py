@@ -373,17 +373,24 @@ def _sieve(limit: int, N: int) -> tuple[bytearray, bytearray]:
 # by 10^6).
 Series = list[int] | dict[int, int]
 
+# The most entries one series may hold: walk weights and dict terms, or the
+# bound + 1 slots of a list, checked before the series is built.  A list costs
+# about 30 bytes a slot and a walk about 115 bytes a weight, rendering included
+# (A1:sc to 4*10^6: 110 MiB; A2:sc to 10^9, 4.1*10^6 weights: 434 MiB), so a
+# job the cap admits stays under about 600 MiB.
+MAX_ENTRIES = 5 * 10**6
+
 
 def _dense(terms: int, bound: int) -> bool:
     """The density rule: a series of this many terms up to bound is a list."""
     return terms * 64 >= bound
 
 
-def _admit(entries: int, cap: int | None) -> None:
-    """Refuse a series of more entries than cap; None admits any."""
-    if cap is not None and entries > cap:
-        raise ValueError(f"the spectrum needs a series of more than {cap} entries; "
-                         "lower the bound")
+def _admit(entries: int) -> None:
+    """Refuse a series of more entries than MAX_ENTRIES."""
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"the spectrum needs a series of more than {MAX_ENTRIES} "
+                         "entries; lower the bound")
 
 
 def _degrees(series: Series):
@@ -531,8 +538,13 @@ def _pairs(a: Series, b: Series, bound: int, stop: int) -> int:
 
 
 def _pair_loop(out, a: Series, b: Series, bound: int, square: bool):
-    """Add each product term a_i b_j, i * j <= bound, into out[i * j]."""
+    """Add each product term a_i b_j, i * j <= bound, into out[i * j].
+
+    b's terms are listed, a's read lazily until i times b's least degree
+    passes the bound.
+    """
     b_terms = list(_terms(b))
+    least = b_terms[0][0] if b_terms else bound + 1
     for k, (i, ai) in enumerate(b_terms if square else _terms(a)):
         limit = bound // i
         if square:
@@ -540,6 +552,8 @@ def _pair_loop(out, a: Series, b: Series, bound: int, square: bool):
                 break
             out[i * i] += ai * ai
             ai *= 2
+        elif least > limit:
+            break
         for j, bj in islice(b_terms, k + 1, None) if square else b_terms:
             if j > limit:
                 break
@@ -581,7 +595,7 @@ def _sliced_mul(out: list[int], a: Series, b: list[int], bound: int, square: boo
     return out
 
 
-def _dirichlet_mul(a: Series, b: Series, bound: int, cap: int | None = None) -> Series:
+def _dirichlet_mul(a: Series, b: Series, bound: int) -> Series:
     """Dirichlet product up to bound; a square (a is b) sums each pair i <= j once.
 
     The pairs i * j <= bound the product forms pick its form: fewer than
@@ -589,17 +603,19 @@ def _dirichlet_mul(a: Series, b: Series, bound: int, cap: int | None = None) -> 
     into a list.  A dict entry costs about ten list slots, and a product has
     at most as many terms as pairs, so the dict is the smaller below that
     (G2xA2:sc to 10^5 forms 6,377 pairs, about 3,000 terms).  The count
-    stops as soon as the pairs are many, or more than cap, which refuses
-    the product.
+    stops as soon as the pairs are many, or more than MAX_ENTRIES, which
+    refuses the product.  A list operand goes where it is read lazily: a
+    while counting and on the dict path, b (sliced) on the list path.
     """
     square = a is b
-    stop = bound // 8 if cap is None else min(bound // 8, cap)
-    pairs = _pairs(a, b, bound, stop + 1)
+    if isinstance(b, list) and not isinstance(a, list):
+        a, b = b, a
+    pairs = _pairs(a, b, bound, min(bound // 8, MAX_ENTRIES) + 1)
     if pairs * 8 < bound:
-        _admit(pairs, cap)
+        _admit(pairs)
         out = _pair_loop(defaultdict(int), a, b, bound, square)
         return {d: out[d] for d in sorted(out) if out[d]}
-    _admit(bound + 1, cap)
+    _admit(bound + 1)
     out = [0] * (bound + 1)
     if isinstance(a, list) and not isinstance(b, list):
         a, b = b, a
@@ -608,7 +624,7 @@ def _dirichlet_mul(a: Series, b: Series, bound: int, cap: int | None = None) -> 
     return _pair_loop(out, a, b, bound, square)
 
 
-def _dirichlet_pow(base: Series, k: int, bound: int, cap: int | None = None) -> Series:
+def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
     """base ** k for k >= 1, up to bound, by one of two exact paths.
 
     Square-and-multiply squares from the top bit of k down, with only
@@ -634,15 +650,15 @@ def _dirichlet_pow(base: Series, k: int, bound: int, cap: int | None = None) -> 
     """
     one = base[1:2] == [1] if isinstance(base, list) else base.get(1) == 1
     if one and k >= 3 and _dense(len(base), bound):
-        _admit(bound + 1, cap)
+        _admit(bound + 1)
         power = _multiplicative_pow(base, k, bound)
         if power is not None:
             return power
     result = base
     for bit in bin(k)[3:]:
-        result = _dirichlet_mul(result, result, bound, cap)
+        result = _dirichlet_mul(result, result, bound)
         if bit == "1":
-            result = _dirichlet_mul(result, base, bound, cap)
+            result = _dirichlet_mul(result, base, bound)
     return result
 
 
@@ -724,8 +740,7 @@ def _sum(a: Series, b: Series, bound: int) -> Series:
     return out
 
 
-def graded_product(factors, graded, tuples, bound: int, memo=None,
-                   cap: int | None = None) -> Series:
+def graded_product(factors, graded, tuples, bound: int, memo=None) -> Series:
     """Sum over class tuples of the Dirichlet product of the factors' series.
 
     factors holds one key per factor, graded[key] maps a center class to
@@ -736,7 +751,7 @@ def graded_product(factors, graded, tuples, bound: int, memo=None,
     dimensions, exceeds the bound.  memo, a dict, keeps the products by
     that multiset for later calls with the same graded and bound.  No
     series is changed in place, so products are shared, with the memo and
-    with the result; cap refuses a product of more entries.
+    with the result.
     """
     pairs = {pair for classes in tuples for pair in zip(factors, classes)}
     least = {(key, c): d for key, c in pairs if (d := _least(graded[key].get(c, {})))}
@@ -749,8 +764,8 @@ def graded_product(factors, graded, tuples, bound: int, memo=None,
             continue
         product = None if memo is None else memo.get(groups)
         if product is None:
-            powers = [_dirichlet_pow(graded[key][c], k, bound, cap) for (key, c), k in groups]
-            product = reduce(lambda a, b: _dirichlet_mul(a, b, bound, cap), powers or [{1: 1}])
+            powers = [_dirichlet_pow(graded[key][c], k, bound) for (key, c), k in groups]
+            product = reduce(lambda a, b: _dirichlet_mul(a, b, bound), powers or [{1: 1}])
             if memo is not None:
                 memo[groups] = product
         if times > 1:
@@ -775,16 +790,19 @@ def a1_series(bound: int, m: int, hit=None) -> list[Series]:
     for j in range(m):
         ts = range(j + 1, bound + 1, m)
         keep = b"\1" * len(ts) if hit is None else hit[j + 1::m].translate(_FLIP)
-        if _dense(keep.count(1), bound):
+        terms = keep.count(1)
+        if _dense(terms, bound):
+            _admit(bound + 1)
             s = [0] * (bound + 1)
             s[j + 1::m] = keep
         else:
+            _admit(terms)
             s = dict.fromkeys(compress(ts, keep), 1)
         series.append(s)
     return series
 
 
-def _spectrum(spec: GroupSpec, D: int, star: bool, cap: int | None = None) -> Series:
+def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
     """Degree counts up to D; star keeps the weights no prime = 1 mod N strips.
 
     Each distinct factor's weights are counted once, by center class, as the
@@ -792,8 +810,7 @@ def _spectrum(spec: GroupSpec, D: int, star: bool, cap: int | None = None) -> Se
     coordinates are g times positive integers, so its dimension is at least
     g ** |Phi+| for their gcd g; the strip flags are sieved only that far,
     and not at all when no prime = 1 mod N (each exceeds N) is that small.
-    cap, if given, refuses a walk that yields more weights, an A1 list or a
-    product of more entries, before the series is built.
+    A walk that yields more than MAX_ENTRIES weights is refused.
     """
     N = N_of(spec) if star else None
     graded: dict[FamilyRank, dict[tuple, Series]] = {}
@@ -802,29 +819,26 @@ def _spectrum(spec: GroupSpec, D: int, star: bool, cap: int | None = None) -> Se
         hit = _sieve(gmax, N)[0] if star and gmax > N else None
         classes = _center_steps(fr, spec.kind)[0]
         if fr.rank == 1:
-            _admit(D + 1, cap)
             counts = a1_series(D, len(classes), hit)
         else:
             counts = [{} for _ in classes]
             walk = _factor_spectrum(fr, D, spec.kind)
-            for d, c, shifted in islice(walk, cap):
+            for d, c, shifted in islice(walk, MAX_ENTRIES):
                 if hit is None or not hit[math.gcd(*shifted)]:
                     series = counts[c]
                     series[d] = series.get(d, 0) + 1
             if next(walk, None) is not None:
-                _admit(cap + 1, cap)
+                _admit(MAX_ENTRIES + 1)
         graded[fr] = dict(zip(classes, counts))
-    return graded_product(spec.factors, graded, _allowed_classes(spec), D, cap=cap)
+    return graded_product(spec.factors, graded, _allowed_classes(spec), D)
 
 
-def zeta_coefficients(spec: GroupSpec, D: int, cap: int | None = None) -> DegreeTable:
-    """The table of zeta up to D; cap as in _spectrum."""
-    return DegreeTable(spec.canonical(), "zeta", D, _spectrum(spec, D, False, cap))
+def zeta_coefficients(spec: GroupSpec, D: int) -> DegreeTable:
+    return DegreeTable(spec.canonical(), "zeta", D, _spectrum(spec, D, star=False))
 
 
-def zeta_star_coefficients(spec: GroupSpec, D: int, cap: int | None = None) -> DegreeTable:
-    """The table of zeta_star up to D; cap as in _spectrum."""
-    return DegreeTable(spec.canonical(), "zeta_star", D, _spectrum(spec, D, True, cap))
+def zeta_star_coefficients(spec: GroupSpec, D: int) -> DegreeTable:
+    return DegreeTable(spec.canonical(), "zeta_star", D, _spectrum(spec, D, star=True))
 
 
 def euler_identity_check(spec: GroupSpec, D: int) -> bool:

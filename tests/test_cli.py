@@ -331,6 +331,7 @@ def test_gassmann_degree_cap(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command,group,bound,refused,admitted", [
     ("zeta", "A1:sc", 100, 100, 101),  # one list of 101 slots
+    ("zeta-star", "A1:sc", 1000, 9, 10),  # a dict of 10 terms, not 1,001 slots
     ("zeta-star", "A2:sc", 2000, 481, 482),  # a walk of 482 weights
     ("zeta", "E8xE8:sc", 10**7, 29, 30),  # walks of 12 weights; a square of 30 pairs
     ("zeta", "A2xA2:sc", 10**5, 10**5, 10**5 + 1),  # walks of 7,756; a product list
@@ -341,7 +342,7 @@ def test_entry_cap(tmp_path, capsys, monkeypatch, command, group, bound, refused
     argv = [command, "--group", group, "--max-dim", str(bound)]
     code, expect, _ = run(capsys, *argv)
     assert code == 0
-    monkeypatch.setattr(cli, "MAX_ENTRIES", refused)
+    monkeypatch.setattr(repdegrees, "MAX_ENTRIES", refused)
     out_file, cache = tmp_path / "t.tsv", tmp_path / "cache"
     for extra in ([], ["--out", str(out_file)], ["--cache", str(cache)]):
         code, out, err = run(capsys, *argv, *extra)
@@ -349,7 +350,7 @@ def test_entry_cap(tmp_path, capsys, monkeypatch, command, group, bound, refused
         assert err.startswith("error: ") and f"more than {refused} entries" in err
         assert "Traceback" not in err
     assert not out_file.exists() and not cache.exists()
-    monkeypatch.setattr(cli, "MAX_ENTRIES", admitted)
+    monkeypatch.setattr(repdegrees, "MAX_ENTRIES", admitted)
     assert run(capsys, *argv) == (0, expect, "")
 
 

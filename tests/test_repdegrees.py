@@ -662,8 +662,8 @@ def test_product_form_rule(monkeypatch):
     seen = []
     real = repdegrees._dirichlet_mul
 
-    def spy(a, b, bound, cap=None):
-        out = real(a, b, bound, cap)
+    def spy(a, b, bound):
+        out = real(a, b, bound)
         seen.append((a is b, type(out).__name__))
         return out
 
