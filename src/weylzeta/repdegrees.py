@@ -10,8 +10,8 @@ counted once per center class (the class of the highest weight modulo the
 root lattice), and the spectrum of the group is the sum, over the class
 tuples its lattice allows, of the Dirichlet products of those series.  A
 series is a list indexed by degree when dense and a dict of its terms
-otherwise (_dense), and a product accumulates into a dict when it forms few
-pairs; DegreeTable.counts reads either like a dict.
+otherwise (_dense), and a product is a list when either operand is one, a
+dict otherwise; DegreeTable.counts reads either like a dict.
 
 An A1 factor's series are written down in closed form by a1_series, which
 gassmann's SU(2) quotients use too.  Factors of rank >= 2 and
@@ -38,7 +38,7 @@ from collections import Counter, defaultdict, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, islice, repeat, starmap, takewhile, zip_longest
+from itertools import compress, islice, repeat, starmap, zip_longest
 from operator import add, eq, floordiv, mul
 
 from .rootsys import FamilyRank, RootSystem, build, ensure
@@ -358,6 +358,8 @@ def _sieve(limit: int, N: int) -> tuple[bytearray, bytearray]:
     Returns (hit, miss): hit[g] is 1 iff a prime = 1 mod N divides g, and
     miss[g] is 1 iff a prime that is not = 1 mod N does.
     """
+    if limit > MAX_SIEVE:
+        raise ValueError(f"the strip sieve needs more than {MAX_SIEVE} slots; lower the bound")
     hit, miss = bytearray(limit + 1), bytearray(limit + 1)
     for p in compress(range(limit + 1), _primes(limit)):
         (hit if p % N == 1 else miss)[p::p] = b"\x01" * (limit // p)
@@ -377,8 +379,11 @@ Series = list[int] | dict[int, int]
 # bound + 1 slots of a list, checked before the series is built.  A list costs
 # about 30 bytes a slot and a walk about 115 bytes a weight, rendering included
 # (A1:sc to 4*10^6: 110 MiB; A2:sc to 10^9, 4.1*10^6 weights: 434 MiB), so a
-# job the cap admits stays under about 600 MiB.
+# job the cap admits stays under about 600 MiB.  A strip sieve (_sieve) costs
+# about 4 bytes a slot (zeta-star A1:sc to 3*10^7: 114 MiB), so MAX_SIEVE slots
+# cost about what MAX_ENTRIES list slots do.
 MAX_ENTRIES = 5 * 10**6
+MAX_SIEVE = 8 * MAX_ENTRIES
 
 
 def _dense(terms: int, bound: int) -> bool:
@@ -393,18 +398,10 @@ def _admit(entries: int) -> None:
                          "entries; lower the bound")
 
 
-def _degrees(series: Series):
-    """The degrees of the terms (a list's nonzero entries, a dict's keys) in
-    increasing order, lazily for a list."""
-    if isinstance(series, list):
-        return compress(range(len(series)), series)
-    return sorted(series)
-
-
 def _terms(series: Series):
-    """The (degree, count) terms, as _degrees, in increasing degree."""
+    """The (degree, count) terms in increasing degree, lazily for a list."""
     if isinstance(series, list):
-        return zip(_degrees(series), compress(series, series))
+        return zip(compress(range(len(series)), series), compress(series, series))
     return sorted(series.items())
 
 
@@ -442,7 +439,8 @@ class Counts(Mapping):
         raise KeyError(d)
 
     def __iter__(self):
-        return _degrees(self.series) if isinstance(self.series, list) else iter(self.series)
+        s = self.series
+        return compress(range(len(s)), s) if isinstance(s, list) else iter(s)
 
     def __len__(self):
         s = self.series
@@ -520,45 +518,33 @@ class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
 # -- center-graded Dirichlet convolution -----------------------------------
 
 
-def _pairs(a: Series, b: Series, bound: int, stop: int) -> int:
-    """The pairs (i, j) of nonzero terms with i * j <= bound, or, when there
-    are at least stop, a count between stop and the number of pairs.
-
-    Only the first stop degrees of b are read, and a's degrees only until
-    the count reaches stop, so a dense operand costs O(stop).
-    """
-    js = list(islice(takewhile(bound.__ge__, _degrees(b)), stop))
-    count = 0
-    for i in _degrees(a):
+def _pairs(a: dict, b: dict, bound: int) -> int:
+    """The pairs i * j <= bound of two dicts' degrees, counted until past MAX_ENTRIES."""
+    js, count = sorted(b), 0
+    for i in sorted(a):
         n = bisect_right(js, bound // i)
         count += n
-        if not n or count >= stop:
+        if not n or count > MAX_ENTRIES:
             break
     return count
 
 
-def _pair_loop(out, a: Series, b: Series, bound: int, square: bool):
-    """Add each product term a_i b_j, i * j <= bound, into out[i * j].
-
-    b's terms are listed, a's read lazily until i times b's least degree
-    passes the bound.
-    """
-    b_terms = list(_terms(b))
-    least = b_terms[0][0] if b_terms else bound + 1
-    for k, (i, ai) in enumerate(b_terms if square else _terms(a)):
+def _pair_loop(a: dict, b: dict, bound: int, square: bool) -> dict[int, int]:
+    """The product of two dicts, sorted, without zeros (see _dirichlet_mul)."""
+    out = defaultdict(int)
+    b_terms = sorted(b.items())
+    for k, (i, ai) in enumerate(b_terms if square else sorted(a.items())):
         limit = bound // i
         if square:
             if i > limit:
                 break
             out[i * i] += ai * ai
             ai *= 2
-        elif least > limit:
-            break
         for j, bj in islice(b_terms, k + 1, None) if square else b_terms:
             if j > limit:
                 break
             out[i * j] += ai * bj
-    return out
+    return {d: out[d] for d in sorted(out) if out[d]}
 
 
 def _axpy(out: list[int], i: int, ai: int, b: list[int], lo: int, hi: int) -> None:
@@ -598,30 +584,17 @@ def _sliced_mul(out: list[int], a: Series, b: list[int], bound: int, square: boo
 def _dirichlet_mul(a: Series, b: Series, bound: int) -> Series:
     """Dirichlet product up to bound; a square (a is b) sums each pair i <= j once.
 
-    The pairs i * j <= bound the product forms pick its form: fewer than
-    bound / 8 accumulate into a dict, returned sorted without zeros, more
-    into a list.  A dict entry costs about ten list slots, and a product has
-    at most as many terms as pairs, so the dict is the smaller below that
-    (G2xA2:sc to 10^5 forms 6,377 pairs, about 3,000 terms).  The count
-    stops as soon as the pairs are many, or more than MAX_ENTRIES, which
-    refuses the product.  A list operand goes where it is read lazily: a
-    while counting and on the dict path, b (sliced) on the list path.
+    The product is a list when either operand is one, which goes in as b and
+    is added in by slices, else a dict from the pair loop.  MAX_ENTRIES caps
+    the list's bound + 1 slots or the two dicts' pairs.
     """
-    square = a is b
-    if isinstance(b, list) and not isinstance(a, list):
-        a, b = b, a
-    pairs = _pairs(a, b, bound, min(bound // 8, MAX_ENTRIES) + 1)
-    if pairs * 8 < bound:
-        _admit(pairs)
-        out = _pair_loop(defaultdict(int), a, b, bound, square)
-        return {d: out[d] for d in sorted(out) if out[d]}
-    _admit(bound + 1)
-    out = [0] * (bound + 1)
-    if isinstance(a, list) and not isinstance(b, list):
+    if isinstance(a, list):
         a, b = b, a
     if isinstance(b, list):
-        return _sliced_mul(out, a, b, bound, square)
-    return _pair_loop(out, a, b, bound, square)
+        _admit(bound + 1)
+        return _sliced_mul([0] * (bound + 1), a, b, bound, a is b)
+    _admit(_pairs(a, b, bound))
+    return _pair_loop(a, b, bound, a is b)
 
 
 def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
@@ -726,7 +699,7 @@ def _multiplicative_pow(base: Series, k: int, bound: int) -> list[int] | None:
 def _least(series: Series) -> int | None:
     """The least degree of a term, None when there is none."""
     if isinstance(series, list):
-        return next(_degrees(series), None)
+        return next(compress(range(len(series)), series), None)
     return min(series, default=None)
 
 
@@ -786,6 +759,8 @@ def a1_series(bound: int, m: int, hit=None) -> list[Series]:
     holds each t = j + 1 mod m once.  t is also the coordinate gcd, so a
     strip sieve hit from _sieve (of length bound + 1) drops every t it flags.
     """
+    if hit is None:  # each class keeps all its t, so a nonempty one is a list
+        _admit(bound + 1)
     series = []
     for j in range(m):
         ts = range(j + 1, bound + 1, m)

@@ -334,7 +334,7 @@ def test_gassmann_degree_cap(capsys, monkeypatch):
     ("zeta-star", "A1:sc", 1000, 9, 10),  # a dict of 10 terms, not 1,001 slots
     ("zeta-star", "A2:sc", 2000, 481, 482),  # a walk of 482 weights
     ("zeta", "E8xE8:sc", 10**7, 29, 30),  # walks of 12 weights; a square of 30 pairs
-    ("zeta", "A2xA2:sc", 10**5, 10**5, 10**5 + 1),  # walks of 7,756; a product list
+    ("zeta", "A2xA2:sc", 10**5, 26890, 26891),  # walks of 7,756; a product dict of 26,891 pairs
 ])
 def test_entry_cap(tmp_path, capsys, monkeypatch, command, group, bound, refused, admitted):
     # the cap counts entries, not the bound: over it nothing is printed,
@@ -352,6 +352,38 @@ def test_entry_cap(tmp_path, capsys, monkeypatch, command, group, bound, refused
     assert not out_file.exists() and not cache.exists()
     monkeypatch.setattr(repdegrees, "MAX_ENTRIES", admitted)
     assert run(capsys, *argv) == (0, expect, "")
+
+
+def test_sieve_budget(tmp_path, capsys, monkeypatch):
+    # zeta-star's strip sieve for A1 runs to the bound: past MAX_SIEVE slots
+    # nothing is sieved, printed, written or cached; at it the table is the
+    # unlimited one
+    argv = ["zeta-star", "--group", "A1:sc", "--max-dim", "1000"]
+    code, expect, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(repdegrees, "MAX_SIEVE", 999)
+    monkeypatch.setattr(repdegrees, "_primes", None)  # a refused sieve allocates nothing
+    out_file, cache = tmp_path / "t.tsv", tmp_path / "cache"
+    for extra in ([], ["--out", str(out_file)], ["--cache", str(cache)]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "more than 999 slots" in err
+        assert "Traceback" not in err
+    assert not out_file.exists() and not cache.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(repdegrees, "MAX_SIEVE", 1000)
+    assert run(capsys, *argv) == (0, expect, "")
+
+
+@pytest.mark.parametrize("command", ["zeta", "zeta-star"])
+@pytest.mark.parametrize("group", ["A1:sc", "A1:adjoint"])
+def test_huge_a1_bound_is_refused(capsys, command, group):
+    # a bound past 2^63 is refused by the entry cap or the sieve budget
+    # before any series or sieve is allocated
+    code, out, err = run(capsys, command, "--group", group, "--max-dim", str(10**22))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_group_rank_cap(capsys):

@@ -616,49 +616,59 @@ def test_dirichlet_square_matches_pair_loop(bound, density):
 
 FORMS = {"dict": lambda s, bound: dict(s), "list": repdegrees.as_list}
 
-
-def _force_path(monkeypatch, path):
-    """Make _dirichlet_mul accumulate into a dict or a list whatever the pairs."""
-    if path == "dict":
-        monkeypatch.setattr(repdegrees, "_pairs", lambda a, b, bound, stop: 0)
-    elif path == "list":
-        monkeypatch.setattr(repdegrees, "_pairs", lambda a, b, bound, stop: stop)
+# each product path with the operand forms it takes: the pair loop two dicts,
+# the sliced product a list as b; the rule (_dirichlet_mul) every pair of forms
+PATHS = {
+    "dict": (lambda x, y, bound: repdegrees._pair_loop(x, y, bound, x is y),
+             [("dict", "dict")]),
+    "list": (lambda x, y, bound: repdegrees._sliced_mul([0] * (bound + 1), x, y, bound, x is y),
+             [("dict", "list"), ("list", "list")]),
+    "rule": (_dirichlet_mul, list(itertools.product(FORMS, repeat=2))),
+}
 
 
 @pytest.mark.parametrize("path", ["dict", "list", "rule"])
 @pytest.mark.parametrize("bound", [1, 2, 3, 30, 400])
-def test_dirichlet_mul_forms_and_paths_match_pair_loop(monkeypatch, path, bound):
-    # sparse and dense, signed counts, dict keys past the bound, every pair of
-    # forms and the squares of each form, on each accumulator
-    _force_path(monkeypatch, path)
+def test_dirichlet_mul_forms_and_paths_match_pair_loop(path, bound):
+    # sparse and dense, signed counts, dict keys past the bound, each pair of
+    # forms the path takes and the square of each form; a product is a list
+    # iff an operand is one
+    mul, form_pairs = PATHS[path]
     rng = random.Random(f"{path}{bound}")
     for density in (0.02, 0.3, 1.0):
         for _ in range(3):
             a, b = (_random_series(rng, bound + 3, density) for _ in range(2))
-            for fa, fb in itertools.product(FORMS, repeat=2):
+            for fa, fb in form_pairs:
                 x, y = FORMS[fa](a, bound), FORMS[fb](b, bound)
-                assert as_dict(_dirichlet_mul(x, y, bound)) == _pair_loop(a, b, bound), (fa, fb)
-            for form in FORMS.values():
-                x = form(a, bound)
-                assert as_dict(_dirichlet_mul(x, x, bound)) == _pair_loop(a, a, bound)
-                assert as_dict(_dirichlet_pow(x, 3, bound)) == oracles.dirichlet_pow(a, 3, bound)
+                product = mul(x, y, bound)
+                assert as_dict(product) == _pair_loop(a, b, bound), (fa, fb)
+                assert isinstance(product, list) == ("list" in (fa, fb))
+            for form in {fb for _, fb in form_pairs}:
+                x = FORMS[form](a, bound)
+                assert as_dict(mul(x, x, bound)) == _pair_loop(a, a, bound)
+                if path == "rule":
+                    assert as_dict(_dirichlet_pow(x, 3, bound)) == oracles.dirichlet_pow(a, 3, bound)
 
 
-def test_pair_count_stops_at_stop():
+def test_pair_count_stops_past_the_cap(monkeypatch):
+    # the pairs i * j <= bound of two dicts, exact up to MAX_ENTRIES; past it
+    # the count stops within one row of b's degrees
     rng = random.Random(64)
     for bound in (1, 2, 50, 600):
         for density in (0.02, 0.3, 1.0):
             a, b = (_random_series(rng, bound + 3, density) for _ in range(2))
             pairs = sum(i * j <= bound for i in a for j in b)
-            for fa, fb in itertools.product(FORMS, repeat=2):
-                x, y = FORMS[fa](a, bound), FORMS[fb](b, bound)
-                for stop in (1, 5, pairs, pairs + 1, 10**9):
-                    count = repdegrees._pairs(x, y, bound, stop)
-                    assert min(count, stop) == min(pairs, stop) and count <= pairs
+            for cap in (0, 1, 5, max(pairs - 1, 0), pairs, 10**9):
+                monkeypatch.setattr(repdegrees, "MAX_ENTRIES", cap)
+                count = repdegrees._pairs(a, b, bound)
+                if pairs <= cap:
+                    assert count == pairs
+                else:
+                    assert cap < count <= min(pairs, cap + len(b))
 
 
 def test_product_form_rule(monkeypatch):
-    # fewer than bound / 8 pairs accumulate into a dict, more into a list
+    # a product is a list when either operand is one, a dict when both are
     seen = []
     real = repdegrees._dirichlet_mul
 
@@ -668,10 +678,13 @@ def test_product_form_rule(monkeypatch):
         return out
 
     monkeypatch.setattr(repdegrees, "_dirichlet_mul", spy)
+    diagonal = "A1xE7:cosets[0,0,0,0,0,0,0,0;1/2,0,1/2,0,0,1/2,0,1/2]"
     for text, bound, want in [("G2xA2:sc", 10**5, [(False, "dict")]),
                               ("E8xE8:sc", 10**7, [(True, "dict")]),
                               ("G2xG2xG2:sc", 10**7, [(True, "dict"), (False, "dict")]),
-                              ("A1xA1:sc", 7000, [(True, "list")])]:
+                              ("A2xA2:sc", 10**5, [(True, "dict")]),
+                              ("A1xA1:sc", 7000, [(True, "list")]),
+                              (diagonal, 10**4, [(False, "list"), (False, "list")])]:
         seen.clear()
         zeta_coefficients(GroupSpec.parse(text), bound)
         assert seen == want, text
