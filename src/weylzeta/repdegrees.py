@@ -1,32 +1,20 @@
 """Degree spectra of compact semisimple groups.
 
-A group is a product of irreducible factors together with a weight lattice
-between the root lattice and the full weight lattice of the product.  All
-dimension arithmetic is exact big-integer work; spectra are tables counting
-irreducible representations by dimension up to a bound.
+A group is a product of irreducible factors with a weight lattice between
+the root lattice and the full weight lattice.  A spectrum counts
+irreducible representations by dimension up to a bound, exactly.
 
-Spectra come from one combiner, graded_product: each factor's degrees are
-counted once per center class (the class of the highest weight modulo the
-root lattice), and the spectrum of the group is the sum, over the class
-tuples its lattice allows, of the Dirichlet products of those series.  A
-series is a list indexed by degree when dense and a dict of its terms
-otherwise (_dense), and a product is a list when either operand is one, a
-dict otherwise; DegreeTable.counts reads either like a dict.
+One combiner, graded_product, builds every spectrum: each factor's degrees
+are counted once per center class, and the spectrum sums, over the class
+tuples the lattice allows, the Dirichlet products of those series.  A
+series is a list indexed by degree when dense, else a dict (_dense).
 
-An A1 factor's series are written down in closed form by a1_series, which
-gassmann's SU(2) quotients use too.  Factors of rank >= 2 and
-enumerate_dominant go through one walk, _factor_spectrum, that visits the
-dominant weights up to the bound once each, incrementally: raising one
-coordinate adds a coroot column to the kept pairings <lam + rho, beta^vee>
-and steps the center class, so a weight costs one product of |Phi+|
-integers.  For zeta_star, one sieve flags the coordinate gcds a prime
-= 1 mod N divides; the same sieve lists the smooth numbers of the Euler
-check.  allowable and in_lattice remain as the per-weight definitions.
-Equal series in one product are raised to a power by squaring or, for a
-dense multiplicative series (every A1 class-0 series is one) and a power
-of at least 3, prime by prime from its values at prime powers (see
-_dirichlet_pow), with a least-prime-power table from the same prime sieve.
-Tuples with the same multiset of (factor, class) pairs share one product.
+A1 factors are written in closed form by a1_series, which gassmann uses
+too.  Other factors go through one walk, _chains, over stems, the weights
+whose last coordinate is 0: past a short head, each stem's chain along that
+coordinate is a product of counts in C, kept only in the classes the
+lattice uses.  For zeta_star a sieve flags the gcds a prime = 1 mod N
+divides.  allowable and in_lattice remain as the per-weight definitions.
 """
 
 from __future__ import annotations
@@ -34,12 +22,12 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, _count_elements, defaultdict, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, islice, repeat, starmap, zip_longest
-from operator import add, eq, floordiv, mul
+from itertools import chain, compress, count, groupby, islice, repeat, starmap, takewhile, zip_longest
+from operator import add, eq, floordiv, itemgetter, mul, not_
 
 from .rootsys import FamilyRank, RootSystem, build, ensure
 
@@ -152,8 +140,7 @@ def dim_irrep(R: RootSystem, lam) -> int:
     """Dimension of the irreducible representation with highest weight lam.
 
     Weyl's formula prod <lam + rho, beta^vee> / Delta over the positive
-    coroots: the simple coroots pair to lam_j + 1, and each step (p, j) of
-    R.coroot_chain pairs the next coroot by one addition.
+    coroots; each step (p, j) of R.coroot_chain pairs one by an addition.
     """
     if len(lam) != R.rank or any(c < 0 for c in lam):
         raise ValueError(f"weight {lam} is not dominant")
@@ -198,8 +185,7 @@ def _center_steps(fr: FamilyRank, kind: str) -> tuple[tuple, tuple[tuple[int, ..
     """The center classes of one factor and how raising a coordinate moves them.
 
     Raising lam_i adds the class of the i-th fundamental weight (column i of
-    the numerators of C^-T, mod det C).  classes lists every class reached
-    from the zero class, and steps[i][k] indexes classes[k] plus that column.
+    C^-T times det C, mod det C): steps[i][k] indexes classes[k] plus it.
     'sc' grades nothing: one class, ().
     """
     system = build(fr)
@@ -221,76 +207,105 @@ def _center_steps(fr: FamilyRank, kind: str) -> tuple[tuple, tuple[tuple[int, ..
     return tuple(classes), tuple(map(tuple, steps))
 
 
-def _factor_spectrum(fr: FamilyRank, bound: int, kind: str):
-    """Walk the dominant weights of one factor with dimension <= bound.
+@lru_cache(maxsize=None)
+def _columns(fr: FamilyRank) -> tuple:
+    """The coroots by column, their pairings with rho, which of them miss the
+    last column, and (index, coefficient) for the others."""
+    coroots = build(fr).coroots
+    *cols, last = map(list, zip(*coroots))
+    return cols, last, list(map(sum, coroots)), list(map(not_, last)), list(
+        compress(enumerate(last), last))
 
-    Yields (dim, class, shifted) once per weight, in no particular order.
-    class indexes _center_steps(fr, kind)[0]; shifted is lam + rho as a list
-    the walk goes on changing, so copy it to keep it.  The walk holds the
-    pairings <lam + rho, beta^vee> of the positive coroots: raising lam_i adds
-    column i of the coroots to them, and dim <= bound is the integer test
-    prod(pairings) <= bound * Delta.
+
+def _chains(fr: FamilyRank, bound: int, kind: str, wanted, hit=None):
+    """The dominant weights of one factor with dimension <= bound, by chains.
+
+    Yields (v, c, t, per, dims) per stem (a weight with last coordinate 0)
+    and class c in wanted (indexing _center_steps(fr, kind)[0]): v holds the
+    stem's pairings <lam + rho, beta^vee>, and its weights of class c have
+    last coordinate t, t + per, ... and dimensions dims.  Raising lam_i adds
+    column i of the coroots to them; dim <= bound iff their product is at
+    most bound * Delta.  hit (_sieve) drops weights whose gcd it flags.
     """
-    system = build(fr)
-    n, delta = system.rank, _delta(fr)
-    limit = bound * delta
-    cols = [[c[i] for c in system.coroots] for i in range(n)]
-    steps = _center_steps(fr, kind)[1]
-    shifted = [1] * n
+    n, delta = fr.rank, _delta(fr)
+    limit, div = bound * delta, delta.__rfloordiv__
+    cols, last, vals, rest, ((j0, a0), *pairs) = _columns(fr)
+    *steps, step = _center_steps(fr, kind)[1]
+    keep = None if hit is None else hit.translate(_FLIP)
+    left = MAX_ENTRIES
+    stack = [(0, vals, math.prod(vals), 0)] if math.prod(vals) <= limit else []
+    while stack:
+        _admit(MAX_ENTRIES - left)
+        k, v, p, c = stack.pop()
+        for i in range(k, n - 1):  # the stems raising coordinate i >= k of this one
+            w = list(map(add, v, cols[i]))
+            if (q := math.prod(w)) <= limit:
+                stack.append((i, w, q, steps[i][c]))
+        heads, w, tail = [p], v, False  # the Weyl products at t = 0, 1, ...
+        while not tail:
+            w = list(map(add, w, last))
+            if (q := math.prod(w)) > limit:
+                break
+            m = (limit - q) // (q - heads[-1])  # at most m more fit: the product is convex in t
+            heads.append(q)
+            if not m:
+                break
+            tail = len(heads) > 4 < m  # C takes over past a head of 4 weights
+        if not tail and keep is None and (step[c] == c or len(heads) == 1):
+            if c in wanted:  # the common case: one record, from the head
+                left -= len(heads)
+                yield v, c, 0, 1, list(map(div, heads))
+            continue
+        orbit = [c]  # the classes along the chain
+        while step[orbit[-1]] != c:
+            orbit.append(step[orbit[-1]])
+        per = len(orbit)
+        if tail:
+            const = math.prod(compress(v, rest))
+        if keep is not None:
+            g = math.gcd(*compress(v, rest))  # gcd(g, t + 1) is a weight's gcd
+        for r in range(per if tail else min(per, len(heads))):
+            if (e := orbit[r]) not in wanted:
+                continue
+            prods = heads[r::per]
+            if tail:  # from the first t = r mod per past the head
+                t = r + per * ((len(heads) - r + per - 1) // per)
+                more = count(const * (v[j0] + t * a0), const * per * a0)
+                for j, a in pairs:
+                    more = map(mul, more, count(v[j] + t * a, per * a))
+                prods = chain(prods, islice(takewhile(limit.__ge__, more), max(left, 0) + 1))
+            if keep is not None and (g >= len(hit) or hit[g]):
+                gcds = map(math.gcd, repeat(g), count(r + 1, per))
+                prods = compress(prods, map(keep.__getitem__, gcds))
+            dims = list(map(div, prods))
+            left -= len(dims)
+            yield v, e, r, per, dims
+    _admit(MAX_ENTRIES - left)
 
-    def raise_from(k: int, vals: list[int], cls: int):
-        # a weight's children raise one coordinate at or after the last one it
-        # raised; dim grows in every coordinate, so each chain ends at its
-        # first weight over the bound, whose extensions are all over it too
-        for i in range(k, n):
-            col, step, v, c = cols[i], steps[i], vals, cls
-            while True:
-                v = list(map(add, v, col))
-                c = step[c]
-                shifted[i] += 1
-                p = math.prod(v)
-                if p > limit:
-                    break
-                yield p // delta, c, shifted
-                if i + 1 < n:
-                    yield from raise_from(i + 1, v, c)
-            shifted[i] = 1
 
-    vals = [sum(c) for c in system.coroots]
-    if math.prod(vals) <= limit:  # the trivial weight, of dimension 1
-        yield 1, 0, shifted
-        yield from raise_from(0, vals, 0)
+def _factor_spectrum(fr: FamilyRank, bound: int, kind: str):
+    """(dim, class index, lam + rho) for each weight _chains walks, stem by
+    stem, each stem's weights in t order."""
+    coroots = build(fr).coroots
+    simple = [coroots.index(tuple(int(i == j) for j in range(fr.rank)))
+              for i in range(fr.rank - 1)]
+    walk = _chains(fr, bound, kind, range(len(_center_steps(fr, kind)[0])))
+    for v, chains in groupby(walk, itemgetter(0)):
+        stem = [v[j] for j in simple]
+        for t, d, c in sorted((t + k * per, d, c) for _, c, t, per, dims in chains
+                              for k, d in enumerate(dims)):
+            yield d, c, (*stem, t + 1)
 
 
 def enumerate_dominant(spec: GroupSpec, D: int) -> list[tuple[Weight, int]]:
-    """All dominant weights of the group with dimension at most D.
-
-    Returns (weight, dimension) pairs sorted by dimension then weight.
-    """
-    if D < 1:
-        return []
-    lists = [sorted((d, tuple(x - 1 for x in shifted))
-                    for d, _, shifted in _factor_spectrum(fr, D, "sc"))
-             for fr in spec.factors]
-    m = len(lists)
-    parts: list[Weight] = [()] * m
-    results: list[tuple[Weight, int]] = []
-
-    def rec(k: int, budget: int, dim_so_far: int):
-        if k == m:
-            lam = tuple(c for part in parts for c in part)
-            if in_lattice(spec, lam):
-                results.append((lam, dim_so_far))
-            return
-        for d, w in lists[k]:
-            if d > budget:
-                break
-            parts[k] = w
-            rec(k + 1, budget // d, dim_so_far * d)
-
-    rec(0, D, 1)
-    results.sort(key=lambda t: (t[1], t[0]))
-    return results
+    """All dominant weights of the group with dimension at most D, as
+    (weight, dimension) pairs sorted by dimension then weight."""
+    found = [((), 1)]
+    for fr in spec.factors:
+        ws = sorted((d, tuple(x - 1 for x in s)) for d, _, s in _factor_spectrum(fr, D, "sc"))
+        found = [(lam + w, dim * d) for lam, dim in found
+                 for d, w in takewhile(lambda dw: dim * dw[0] <= D, ws)]
+    return sorted(((lam, d) for lam, d in found if in_lattice(spec, lam)), key=itemgetter(1, 0))
 
 
 # -- allowability ----------------------------------------------------------
@@ -352,36 +367,62 @@ def _primes(limit: int) -> bytearray:
     return prime
 
 
-def _sieve(limit: int, N: int) -> tuple[bytearray, bytearray]:
-    """Prime divisors of each 1 <= g <= limit, sorted by residue mod N.
+def _sieve(limit: int, N: int) -> bytearray:
+    """hit[g] is 1 iff a prime = 1 mod N divides g, for 0 <= g <= limit.
 
-    Returns (hit, miss): hit[g] is 1 iff a prime = 1 mod N divides g, and
-    miss[g] is 1 iff a prime that is not = 1 mod N does.
+    With s = isqrt(limit), g has at most one prime factor p > s, and then
+    g = m p with m <= limit // (s + 1).  big flags the primes q = 1 + kN in
+    (s, limit]; for each m in increasing order a slice copies it to the m q
+    (a 0 at m q with p | q is rewritten by m q / p > m).  Then each prime
+    = 1 mod N up to s marks its multiples.
     """
     if limit > MAX_SIEVE:
         raise ValueError(f"the strip sieve needs more than {MAX_SIEVE} slots; lower the bound")
-    hit, miss = bytearray(limit + 1), bytearray(limit + 1)
-    for p in compress(range(limit + 1), _primes(limit)):
-        (hit if p % N == 1 else miss)[p::p] = b"\x01" * (limit // p)
-    return hit, miss
+    s = math.isqrt(limit)
+    hit = bytearray(limit + 1)
+    hit[0] = 1  # every prime divides 0
+    big = bytearray([1]) * ((limit - 1) // N + 1)  # big[k] for q = 1 + kN
+    k0 = (s - 1) // N + 1  # the first q past s
+    big[:k0] = bytes(k0)
+    small = list(compress(range(s + 1), _primes(s)))
+    for p in small:
+        if N % p:  # q = 1 + kN is a multiple of p iff k = -1/N mod p
+            k = -pow(N, -1, p) % p
+            big[k::p] = bytes(len(range(k, len(big), p)))
+    big = memoryview(big)
+    for m in range(1, limit // (s + 1) + 1):
+        k1 = (limit // m - 1) // N
+        hit[m * (1 + k0 * N):m * (1 + k1 * N) + 1:m * N] = big[k0:k1 + 1]
+    ones = memoryview(b"\1" * (limit // (N + 1)))
+    for p in small:
+        if p % N == 1:
+            hit[p::p] = ones[:limit // p]
+    return hit
+
+
+def _smooth(top: int, N: int) -> list[int]:
+    """The n <= top whose prime factors are all = 1 mod N, sorted."""
+    part = [1] * (top + 1)  # part[n]: the powers of such primes in n, multiplied
+    for p in compress(range(1, top + 1, N), _primes(top)[1::N]):
+        q = p
+        while q <= top:
+            part[q::q] = map(p.__mul__, part[q::q])
+            q *= p
+    return list(compress(range(1, top + 1), map(eq, part[1:], range(1, top + 1))))
 
 
 # -- series ----------------------------------------------------------------
 
-# A Dirichlet series up to a bound is held in one of two forms, chosen by
-# one density rule (_dense): a list of counts indexed by degree, of length
-# bound + 1 with index 0 unused, or a dict of its nonzero terms.  Counts are
-# Python ints, since they pass 2^63 (the odd series to the 128th power does
-# by 10^6).
+# A series up to a bound is a list of counts indexed by degree (bound + 1
+# long) or a dict of its nonzero terms; counts are Python ints (past 2^63).
 Series = list[int] | dict[int, int]
 
-# The most entries one series may hold: walk weights and dict terms, or the
-# bound + 1 slots of a list, checked before the series is built.  A list costs
-# about 30 bytes a slot and a walk about 115 bytes a weight, rendering included
-# (A1:sc to 4*10^6: 110 MiB; A2:sc to 10^9, 4.1*10^6 weights: 434 MiB), so a
-# job the cap admits stays under about 600 MiB.  A strip sieve (_sieve) costs
-# about 4 bytes a slot (zeta-star A1:sc to 3*10^7: 114 MiB), so MAX_SIEVE slots
-# cost about what MAX_ENTRIES list slots do.
+# The most entries a series may hold (walk weights, dict terms or list
+# slots), checked before it is built.  A list costs about 30 bytes a slot and
+# a walk about 115 bytes a weight, rendering included (A1:sc to 4*10^6:
+# 110 MiB; A2:sc to 10^9: 434 MiB), so an admitted job stays under about
+# 600 MiB.  A strip sieve costs about 2.2 bytes a slot, 3.5 with a1_series'
+# copies (zeta-star A1:sc to 3*10^7: 105 MiB).
 MAX_ENTRIES = 5 * 10**6
 MAX_SIEVE = 8 * MAX_ENTRIES
 
@@ -417,12 +458,9 @@ def as_list(series: Series, bound: int) -> list[int]:
 
 
 class Counts(Mapping):
-    """Counts by dimension, read like a dict in increasing dimension.
-
-    A read-only view of the series a spectrum was computed as, list or dict;
-    a dict is kept sorted, without zero counts.  Two views are equal when
-    their nonzero terms are, whatever their forms.
-    """
+    """A read-only view of a series, list or dict, read like a dict in
+    increasing dimension (a dict is kept sorted, without zeros).  Two views
+    are equal when their nonzero terms are."""
 
     __slots__ = ("series",)
 
@@ -465,8 +503,8 @@ class Counts(Mapping):
 class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
     """Counts of irreducible representations by dimension up to a bound.
 
-    variant is "zeta" or "zeta_star"; counts, a Counts, maps dimension to
-    count.  A series or dict given as counts is wrapped in one.
+    variant is "zeta" or "zeta_star"; counts is a Counts (a series or dict
+    given is wrapped in one).
     """
 
     __slots__ = ()
@@ -487,11 +525,8 @@ class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
         return f"# weylzeta v1 group={group} variant={variant} maxdim={bound}\n"
 
     def to_text(self) -> str:
-        """The header, then one row per nonzero count in increasing dimension.
-
-        Rows are formatted straight from the series and joined a chunk at a
-        time, so no tuple or string per row outlives its chunk.
-        """
+        """The header, then a row per nonzero count by dimension, joined a
+        chunk at a time so that no string per row outlives its chunk."""
         s = self.counts.series
         values = compress(s, s) if isinstance(s, list) else s.values()
         rows = map("{}\t{}\n".format, self.counts, values)
@@ -520,13 +555,13 @@ class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
 
 def _pairs(a: dict, b: dict, bound: int) -> int:
     """The pairs i * j <= bound of two dicts' degrees, counted until past MAX_ENTRIES."""
-    js, count = sorted(b), 0
+    js, total = sorted(b), 0
     for i in sorted(a):
         n = bisect_right(js, bound // i)
-        count += n
-        if not n or count > MAX_ENTRIES:
+        total += n
+        if not n or total > MAX_ENTRIES:
             break
-    return count
+    return total
 
 
 def _pair_loop(a: dict, b: dict, bound: int, square: bool) -> dict[int, int]:
@@ -559,9 +594,8 @@ def _axpy(out: list[int], i: int, ai: int, b: list[int], lo: int, hi: int) -> No
 def _sliced_mul(out: list[int], a: Series, b: list[int], bound: int, square: bool):
     """The product into out with b a list, one slice of b per term of a.
 
-    For a list a, the pairs split at s = isqrt(bound): the terms i <= s of
-    a each take a slice of b, and the terms j <= bound // (s + 1) of b each
-    take a slice of a past s, so O(sqrt(bound)) slices cover all pairs.  A
+    For a list a the pairs split at s = isqrt(bound): terms i <= s of a take
+    a slice of b, terms j <= bound // (s + 1) of b a slice of a past s.  A
     square (a is b) has i <= j, so i <= s already.
     """
     split = math.isqrt(bound) if isinstance(a, list) else bound
@@ -584,9 +618,8 @@ def _sliced_mul(out: list[int], a: Series, b: list[int], bound: int, square: boo
 def _dirichlet_mul(a: Series, b: Series, bound: int) -> Series:
     """Dirichlet product up to bound; a square (a is b) sums each pair i <= j once.
 
-    The product is a list when either operand is one, which goes in as b and
-    is added in by slices, else a dict from the pair loop.  MAX_ENTRIES caps
-    the list's bound + 1 slots or the two dicts' pairs.
+    A list operand goes in as b, added in by slices, and makes the product a
+    list; two dicts make a dict.  MAX_ENTRIES caps the slots or pairs.
     """
     if isinstance(a, list):
         a, b = b, a
@@ -598,28 +631,11 @@ def _dirichlet_mul(a: Series, b: Series, bound: int) -> Series:
 
 
 def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
-    """base ** k for k >= 1, up to bound, by one of two exact paths.
-
-    Square-and-multiply squares from the top bit of k down, with only
-    O(bound) alive.  A multiplicative base (f(1) = 1, f(mn) = f(m) f(n)
-    for coprime m, n) has a multiplicative power, so _multiplicative_pow
-    takes it prime by prime; on any other base it returns None and the
-    power squares after all.
-
-    The rule reads only k, len(base), bound and f(1): the prime-by-prime
-    path is tried iff f(1) = 1, the base is dense (_dense(len(base), bound),
-    so every list) and k >= 3.  The least of three medians of seven
-    in-process runs on a 2-core VM, ms, square-and-multiply on lists /
-    prime by prime:
-
-        series, bound    k = 2       k = 3       k = 4       k = 8
-        all, 2000        0.6 / 0.7   1.5 / 0.7   1.2 / 0.7   1.9 / 0.7
-        all, 20000       7.1 / 6.2  18.0 / 6.2  15.0 / 6.3  24.9 / 6.5
-        odd, 2000        0.4 / 0.7   0.9 / 0.7   0.7 / 0.7   1.1 / 0.7
-        odd, 20000       4.3 / 6.3  10.5 / 6.3   8.7 / 6.4  13.1 / 6.4
-
-    A dense base that is not multiplicative usually fails the check on a
-    short prefix, before the O(bound) tables are built.
+    """base ** k for k >= 1 up to bound: by square-and-multiply or, when
+    f(1) = 1, the base is dense and k >= 3, prime by prime if the base is
+    multiplicative (_multiplicative_pow), about the cost of one squaring
+    (A1 series to 20000 on a 2-core VM: 6.3 ms, against 4.3-25 ms for
+    k = 2..8 by squaring).
     """
     one = base[1:2] == [1] if isinstance(base, list) else base.get(1) == 1
     if one and k >= 3 and _dense(len(base), bound):
@@ -636,14 +652,12 @@ def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
 
 
 def _least_prime_parts(powers: list[list[int]], limit: int) -> list[int]:
-    """part[n] = q for 0 <= n <= limit: the power q of the least prime of n
-    that divides n exactly (part[0] = part[1] = 1).
+    """part[n]: the power of n's least prime that divides n exactly, for
+    0 <= n <= limit (part[0] = part[1] = 1).
 
-    powers lists, prime by prime in increasing order, the powers of every
-    prime p <= isqrt(limit) (more primes do no harm).  They are written in
-    decreasing order of p, each power in increasing order, so the least
-    prime and its highest power write last; a number whose least prime
-    exceeds isqrt(limit) is that prime.
+    powers holds the powers of each prime p <= isqrt(limit), by increasing
+    p; written by decreasing p and increasing power, the least prime's
+    highest power writes last.
     """
     part = list(range(limit + 1))
     for qs in reversed(powers):
@@ -656,21 +670,18 @@ def _least_prime_parts(powers: list[list[int]], limit: int) -> list[int]:
 
 
 def _multiplicative_pow(base: Series, k: int, bound: int) -> list[int] | None:
-    """base ** k from its values at prime powers as a list, or None if base
+    """base ** k as a list from its values at prime powers, or None if base
     is not multiplicative up to bound.
 
-    Write n = m q with q = part[n] from _least_prime_parts; m and q are
-    coprime, and m = 1 iff n is a prime power.  The base is multiplicative
-    up to bound iff f(n) = f(m) f(q) for every n <= bound; keys past the
-    bound are never read.  The check runs up to isqrt(bound) first, so a
-    base that fails early costs O(isqrt(bound)).  Then g = f ** k is
-    multiplicative, g(n) = g(m) g(q), and at p^e the local series
-    G = F ** k satisfies x G' F = k G x F', that is
+    With n = m q, q = part[n] (_least_prime_parts), base is multiplicative
+    iff f(n) = f(m) f(q) for all n <= bound (checked to isqrt(bound) first).
+    Then g = f ** k has g(n) = g(m) g(q), and at p^e, from x G' F = k G x F'
+    for the local series G = F ** k,
 
         e g(p^e) = sum over j = 1..e of ((k + 1) j - e) f(p^j) g(p^(e-j)),
 
-    one exact division (checked) per power of a prime p <= sqrt(bound); a
-    larger prime has e = 1 only, where g(p) = k f(p).
+    one exact division (checked) per power of a prime p <= sqrt(bound);
+    past that g(p) = k f(p).
     """
     small = list(compress(range(math.isqrt(bound) + 1), _primes(math.isqrt(bound))))
     powers = [[p**e for e in range(1, bound.bit_length()) if p**e <= bound]
@@ -716,15 +727,11 @@ def _sum(a: Series, b: Series, bound: int) -> Series:
 def graded_product(factors, graded, tuples, bound: int, memo=None) -> Series:
     """Sum over class tuples of the Dirichlet product of the factors' series.
 
-    factors holds one key per factor, graded[key] maps a center class to
-    that factor's series, and each of tuples names one class per factor.
-    Equal (factor, class) pairs are raised to a power, and tuples with the
-    same multiset of pairs share one product, computed once; a tuple is
-    skipped when even its smallest degree, the product of the least
-    dimensions, exceeds the bound.  memo, a dict, keeps the products by
-    that multiset for later calls with the same graded and bound.  No
-    series is changed in place, so products are shared, with the memo and
-    with the result.
+    graded[key] maps a center class to the series of the factor key, and
+    each tuple names a class per factor.  Equal (factor, class) pairs are
+    raised to a power, tuples with the same multiset of pairs share one
+    product (kept by multiset in memo, a dict, if given), and a tuple whose
+    least degree exceeds the bound is skipped.  No series is changed.
     """
     pairs = {pair for classes in tuples for pair in zip(factors, classes)}
     least = {(key, c): d for key, c in pairs if (d := _least(graded[key].get(c, {})))}
@@ -752,13 +759,9 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def a1_series(bound: int, m: int, hit=None) -> list[Series]:
-    """The degrees of SU(2) up to bound, one series per center class, no walk.
-
-    The weight with shifted coordinate t has dimension t, and raising it steps
-    the class, so with m classes in step order from the zero class, class j
-    holds each t = j + 1 mod m once.  t is also the coordinate gcd, so a
-    strip sieve hit from _sieve (of length bound + 1) drops every t it flags.
-    """
+    """The degrees of SU(2) up to bound, one series per center class: the
+    weight lam + rho = t has dimension and gcd t, so class j holds the
+    t = j + 1 mod m that a strip sieve hit (_sieve, to bound) does not flag."""
     if hit is None:  # each class keeps all its t, so a nonempty one is a list
         _admit(bound + 1)
     series = []
@@ -780,32 +783,26 @@ def a1_series(bound: int, m: int, hit=None) -> list[Series]:
 def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
     """Degree counts up to D; star keeps the weights no prime = 1 mod N strips.
 
-    Each distinct factor's weights are counted once, by center class, as the
-    walk visits them, or in closed form for A1.  A weight's shifted
-    coordinates are g times positive integers, so its dimension is at least
-    g ** |Phi+| for their gcd g; the strip flags are sieved only that far,
-    and not at all when no prime = 1 mod N (each exceeds N) is that small.
-    A walk that yields more than MAX_ENTRIES weights is refused.
+    Each distinct factor is counted once per class an allowed tuple uses.  A
+    weight of gcd g has dimension at least g ** |Phi+|: the sieve stops there.
     """
     N = N_of(spec) if star else None
+    allowed = _allowed_classes(spec)
     graded: dict[FamilyRank, dict[tuple, Series]] = {}
     for fr in set(spec.factors):
         gmax = _iroot(D, build(fr).num_positive)
-        hit = _sieve(gmax, N)[0] if star and gmax > N else None
+        hit = _sieve(gmax, N) if star and gmax > N else None
         classes = _center_steps(fr, spec.kind)[0]
         if fr.rank == 1:
             counts = a1_series(D, len(classes), hit)
         else:
             counts = [{} for _ in classes]
-            walk = _factor_spectrum(fr, D, spec.kind)
-            for d, c, shifted in islice(walk, MAX_ENTRIES):
-                if hit is None or not hit[math.gcd(*shifted)]:
-                    series = counts[c]
-                    series[d] = series.get(d, 0) + 1
-            if next(walk, None) is not None:
-                _admit(MAX_ENTRIES + 1)
+            wanted = {classes.index(t[k]) for t in allowed
+                      for k, other in enumerate(spec.factors) if other == fr}
+            for _, c, _, _, dims in _chains(fr, D, spec.kind, wanted, hit):
+                _count_elements(counts[c], dims)  # Counter.update's loop, in C
         graded[fr] = dict(zip(classes, counts))
-    return graded_product(spec.factors, graded, _allowed_classes(spec), D)
+    return graded_product(spec.factors, graded, allowed, D)
 
 
 def zeta_coefficients(spec: GroupSpec, D: int) -> DegreeTable:
@@ -821,9 +818,7 @@ def euler_identity_check(spec: GroupSpec, D: int) -> bool:
     correction factors at primes = 1 mod N, truncated at D."""
     N = N_of(spec)
     # prod over those p of 1/(1 - p^-ms) sums n^-ms over n built from such p
-    top = _iroot(D, min(build(fr).num_positive for fr in spec.factors))
-    miss = _sieve(top, N)[1]
-    smooth = [n for n in range(1, top + 1) if not miss[n]]
+    smooth = _smooth(_iroot(D, min(build(fr).num_positive for fr in spec.factors)), N)
     series = _spectrum(spec, D, star=True)
     for fr in spec.factors:
         m = build(fr).num_positive

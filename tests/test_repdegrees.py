@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import factorint, primefactors, primerange
+from sympy import factorint, isprime, primefactors, primerange
 
 from weylzeta import repdegrees
 from weylzeta.repdegrees import (
@@ -26,11 +26,13 @@ from weylzeta.repdegrees import (
 )
 from weylzeta.repdegrees import (
     _center_steps,
+    _chains,
     _dirichlet_mul,
     _dirichlet_pow,
     _factor_spectrum,
     _iroot,
     _sieve,
+    _smooth,
     _stripped,
 )
 from weylzeta.rootsys import all_types, build
@@ -421,7 +423,7 @@ def test_a1_series_matches_walk(kind, N):
     rng = random.Random(f"{kind}{N}")
     classes = _center_steps(A1, kind)[0]
     for bound in [0, 1, 2, 3] + [rng.randint(4, 5000) for _ in range(8)]:
-        hit = _sieve(bound, N)[0] if N else None
+        hit = _sieve(bound, N) if N else None
         expect = [{} for _ in classes]
         for d, c, shifted in _factor_spectrum(A1, bound, kind):
             if hit is None or not hit[math.gcd(*shifted)]:
@@ -552,6 +554,65 @@ def test_walk_respects_tiny_bounds():
             (1, [1] * fr.rank)]
 
 
+def _check_chains(fr, bound):
+    # for each kind and each class set (all classes, then each alone), the
+    # chains expanded to weights are the brute-force weights of those classes
+    system = build(fr)
+    box = [(lam, d) for lam in _weight_box(system, bound)
+           if (d := dim_irrep(system, lam)) <= bound]
+    simple = [system.coroots.index(tuple(int(i == j) for j in range(fr.rank)))
+              for i in range(fr.rank - 1)]
+    for kind in ("sc", "adjoint", "cosets"):
+        classes = _center_steps(fr, kind)[0]
+        index = {lam: classes.index(() if kind == "sc" else system.center_class(lam))
+                 for lam, _ in box}
+        for wanted in [range(len(classes))] + [{c} for c in range(len(classes))]:
+            got = []
+            for v, c, t, per, dims in _chains(fr, bound, kind, wanted):
+                stem = tuple(v[j] - 1 for j in simple)
+                got += [((*stem, t + k * per), d, c) for k, d in enumerate(dims)]
+            expect = [(lam, d, index[lam]) for lam, d in box if index[lam] in wanted]
+            assert sorted(got) == sorted(expect), (kind, wanted)
+
+
+@pytest.mark.parametrize("fr,bound", WALK_CASES, ids=lambda x: str(x))
+def test_chains_match_brute_force(fr, bound):
+    _check_chains(fr, bound)
+
+
+def test_chain_tails_meet_the_head(monkeypatch):
+    # past its Python head a chain goes on as a product of counts in C; on
+    # A3 to 3000 those tails hold 0, 1, 2 and 3 weights, among others, and
+    # every chain still matches the brute force
+    lengths = collections.Counter()
+    takewhile = repdegrees.takewhile
+
+    def counted(pred, it):
+        n = 0
+        for x in takewhile(pred, it):
+            n += 1
+            yield x
+        lengths[n] += 1
+
+    monkeypatch.setattr(repdegrees, "takewhile", counted)
+    _check_chains(FamilyRank("A", 3), 3000)
+    assert {0, 1, 2, 3} <= set(lengths)
+
+
+@pytest.mark.parametrize("N", [2, 6])
+@pytest.mark.parametrize("text", ["A2:sc", "A2:adjoint", "B2:sc", "A1xA2:sc"])
+def test_strip_filter_on_walked_factors(monkeypatch, text, N):
+    # with the true N no prime = 1 mod N is small enough to strip a walked
+    # factor at these bounds; a patched N, which allowable reads too, makes
+    # the walk drop stripped weights of its chains, heads and tails alike
+    monkeypatch.setattr(repdegrees, "N_of", lambda spec: N)
+    spec = GroupSpec.parse(text)
+    expect = collections.Counter(d for lam, d in enumerate_dominant(spec, 5000)
+                                 if allowable(spec, lam))
+    assert expect != collections.Counter(d for _, d in enumerate_dominant(spec, 5000))
+    assert zeta_star_coefficients(spec, 5000).counts == expect
+
+
 def _prime_factors(n):
     # trial division
     out, d = set(), 2
@@ -566,20 +627,42 @@ def _prime_factors(n):
 @pytest.mark.parametrize("N", [2, 24, 720])
 def test_sieve_matches_definitions(N):
     limit = 5000
-    hit, miss = _sieve(limit, N)
-    assert len(hit) == len(miss) == limit + 1
+    hit = _sieve(limit, N)
+    assert len(hit) == limit + 1
     for g in [N, N + 1, *range(1, limit + 1)]:
         assert bool(hit[g]) == _stripped((g - 1,), N), g
         primes = _prime_factors(g)
         assert bool(hit[g]) == any(p % N == 1 for p in primes), g
-        assert bool(miss[g]) == any(p % N != 1 for p in primes), g
 
 
 def test_sieve_small_limits():
     for limit in range(4):
-        hit, miss = _sieve(limit, 2)
-        assert (len(hit), len(miss)) == (limit + 1, limit + 1)
-        assert list(hit[1:]) == [0, 0, 1][:limit] and list(miss[1:]) == [0, 1, 0][:limit]
+        hit = _sieve(limit, 2)
+        assert len(hit) == limit + 1
+        assert list(hit[1:]) == [0, 0, 1][:limit]
+
+
+@pytest.mark.parametrize("N,k", [(2, 3), (6, 7), (24, 73), (720, 2161)])
+def test_sieve_around_the_first_square(N, k):
+    # k is the least prime = 1 mod N: it is past isqrt(limit) at k^2 - 1 and
+    # no longer at k^2; the sieve flags exactly the multiples of such primes
+    assert isprime(k) and k % N == 1
+    assert not any(isprime(q) for q in range(N + 1, k, N))
+    for limit in (k * k - 1, k * k, k * k + 1):
+        expect = bytearray(limit + 1)
+        expect[0] = 1
+        for p in range(N + 1, limit + 1, N):
+            if isprime(p):
+                expect[p::p] = b"\1" * (limit // p)
+        assert _sieve(limit, N) == expect, limit
+
+
+@pytest.mark.parametrize("N", [2, 6, 24, 720])
+def test_smooth_numbers(N):
+    # the Euler check's n all of whose primes are = 1 mod N, by trial division
+    for top in (0, 1, 2, 3, 100, 3000):
+        expect = [n for n in range(1, top + 1) if all(p % N == 1 for p in _prime_factors(n))]
+        assert sorted(_smooth(top, N)) == expect, top
 
 
 def test_iroot():
@@ -804,7 +887,7 @@ def test_dirichlet_pow_path_rule(monkeypatch):
     zeta_coefficients(GroupSpec.parse("x".join(["G2"] * 8) + ":sc"), 10**5)
     assert calls == []
     # the A1 series less the values a strip sieve flags stays multiplicative
-    (kept,) = a1_series(2000, 1, _sieve(2000, 4)[0])
+    (kept,) = a1_series(2000, 1, _sieve(2000, 4))
     assert 2000 > len(as_dict(kept)) >= 2000 / 64
     _dirichlet_pow(kept, 5, 2000)
     # A2's class-0 series is dense at 2000 but 10 = 2 * 5 has two weights
