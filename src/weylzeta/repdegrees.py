@@ -225,7 +225,8 @@ def _chains(fr: FamilyRank, bound: int, kind: str, wanted, hit=None):
     stem's pairings <lam + rho, beta^vee>, and its weights of class c have
     last coordinate t, t + per, ... and dimensions dims.  Raising lam_i adds
     column i of the coroots to them; dim <= bound iff their product is at
-    most bound * Delta.  hit (_sieve) drops weights whose gcd it flags.
+    most bound * Delta.  A chain's head runs in Python, the rest as counts
+    multiplied in C.  hit (_sieve) drops weights whose gcd it flags.
     """
     n, delta = fr.rank, _delta(fr)
     limit, div = bound * delta, delta.__rfloordiv__
@@ -250,7 +251,7 @@ def _chains(fr: FamilyRank, bound: int, kind: str, wanted, hit=None):
             heads.append(q)
             if not m:
                 break
-            tail = len(heads) > 4 < m  # C takes over past a head of 4 weights
+            tail = len(heads) > 4 < m  # C takes over if more than 4 may follow 4
         if not tail and keep is None and (step[c] == c or len(heads) == 1):
             if c in wanted:  # the common case: one record, from the head
                 left -= len(heads)
