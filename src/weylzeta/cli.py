@@ -1,7 +1,13 @@
 """Command-line surface: spectra, polynomials, efficiency, verification.
 
-A --cache hit checks the file's sha256 trailer and header, then serves the
-stored rows up to the bound as text, without parsing the table.
+A --cache hit works on the file's bytes: one sha256 pass over the body
+checks the trailer, only the header line is decoded and matched, byte
+scans in C check every row's grammar, and the cut at the bound is found
+by bisecting line offsets, so only the served rows are decoded and no
+table is parsed.
+A cache file is named from the group, its stem cut to 200 characters, and
+an 8-hex sha256 tag of the full name; the header check turns a collision
+into a miss.
 
 Exit codes: 0 on success (and on an all-PASS ledger), 1 when a
 verification fails, 2 on usage errors including malformed group
@@ -12,7 +18,6 @@ such as an --out path in a missing directory.
 from __future__ import annotations
 
 import argparse
-import bisect
 import functools
 import hashlib
 import os
@@ -89,50 +94,56 @@ def _cache_dir(args) -> Path | None:
 
 
 def _cache_path(directory: Path, canonical: str, variant: str) -> Path:
-    stem = re.sub(r"[^A-Za-z0-9]+", "_", canonical).strip("_")
+    # the stem is cut to 200 characters so that the name and its temporary
+    # sibling, at most 36 bytes longer than the stem, fit in 255 bytes; the
+    # tag of the whole name tells apart keys whose cut stems agree
+    stem = re.sub(r"[^A-Za-z0-9]+", "_", canonical).strip("_")[:200]
     tag = hashlib.sha256(canonical.encode()).hexdigest()[:8]
     return directory / f"{stem}-{tag}.{variant}.tsv"
 
 
-def _trailer(body: str) -> str:
-    entries = body.count("\n") - 1  # lines after the header
-    return f"# entries={entries} sha256={hashlib.sha256(body.encode()).hexdigest()}\n"
+def _trailer(body: bytes) -> bytes:
+    entries = body.count(b"\n") - 1  # lines after the header
+    return f"# entries={entries} sha256={hashlib.sha256(body).hexdigest()}\n".encode()
 
 
-def _sealed(body: str) -> str:
-    """A table's text as the cache stores it, closed by a checksum trailer."""
-    return body + _trailer(body)
-
-
-def _unsealed(text: str) -> str:
-    """The table text of a cache file; ValueError unless its trailer matches.
+def _unsealed(data: bytes) -> bytes:
+    """The table bytes of a cache file; ValueError unless its trailer matches.
 
     A file cut short, even at a line boundary, loses or breaks the trailer.
     """
-    cut = text.rfind("\n", 0, len(text) - 1) + 1
-    body, trailer = text[:cut], text[cut:]
-    if trailer != _trailer(body):
+    cut = data.rfind(b"\n", 0, len(data) - 1) + 1
+    body = data[:cut]
+    if data[cut:] != _trailer(body):
         raise ValueError("cache file has no matching trailer")
     return body
 
 
-def _served(body: str, canonical: str, variant: str, bound: int) -> str:
-    """The stored table text (rows sorted by dimension) cut at bound.
+def _served(body: bytes, canonical: str, variant: str, bound: int) -> str:
+    """The stored table (rows sorted by dimension) cut at bound, as text.
 
     ValueError unless the header covers the request and every row is
     <digits>\t<digits>: deleting the digits leaves only tab-newline pairs,
-    and no tab touches a line boundary.
+    and no tab touches a line boundary. The cut is found by bisecting byte
+    offsets, each probe moved back to the start of its line, so only the
+    probed rows' dimensions are parsed and only the served rows decoded.
     """
-    header, _, rows = body.partition("\n")
-    m = DegreeTable._HEADER.match(header)
-    marks = rows.encode().translate(None, b"0123456789")
+    head = body.index(b"\n") + 1
+    m = DegreeTable._HEADER.match(body[:head - 1].decode("ascii"))
+    rows = body[head:]
+    marks = rows.translate(None, b"0123456789")
     if not (m and m[1] == canonical and m[2] == variant and int(m[3]) >= bound
-            and marks.count(b"\t\n") * 2 == len(marks)
-            and "\t\n" not in rows and "\n\t" not in "\n" + rows):
+            and marks == b"\t\n" * (len(marks) // 2)
+            and b"\t\n" not in rows and body.find(b"\n\t", head - 1) < 0):
         raise ValueError("cache file does not hold the requested table")
-    lines = rows.splitlines(keepends=True)
-    cut = bisect.bisect_right(lines, bound, key=lambda ln: int(ln[:ln.index("\t")]))
-    return DegreeTable.header(canonical, variant, bound) + "".join(lines[:cut])
+    lo, hi = head, len(body)  # rows before lo are kept, rows from hi are not
+    while lo < hi:
+        start = body.rfind(b"\n", lo - 1, (lo + hi) // 2) + 1
+        if int(body[start:body.index(b"\t", start)]) > bound:
+            hi = start
+        else:
+            lo = body.index(b"\n", start) + 1
+    return DegreeTable.header(canonical, variant, bound) + body[head:lo].decode("ascii")
 
 
 def _cached_text(spec: GroupSpec, variant: str, bound: int,
@@ -143,14 +154,17 @@ def _cached_text(spec: GroupSpec, variant: str, bound: int,
     canonical = spec.canonical()
     path = _cache_path(directory, canonical, variant)
     try:
-        return _served(_unsealed(path.read_text()), canonical, variant, bound)
-    except (OSError, ValueError):
+        return _served(_unsealed(path.read_bytes()), canonical, variant, bound)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         pass
     text = fn(spec, bound).to_text()
+    data = text.encode()
     # write beside the target and rename, so no reader sees half a table
     directory.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(_sealed(text))
+    with open(tmp, "wb") as f:
+        f.write(data)
+        f.write(_trailer(data))
     os.replace(tmp, path)
     return text
 

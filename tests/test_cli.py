@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 from functools import lru_cache
+from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -14,13 +17,18 @@ from weylzeta.cli import (
     MAX_RANK,
     _build_parser,
     _cache_path,
-    _sealed,
+    _trailer,
     _unsealed,
     main,
 )
 from weylzeta.repdegrees import DegreeTable
 
 from oracles import truncated
+
+
+def _sealed(body: bytes) -> bytes:
+    """A table's bytes as the cache stores them, closed by a checksum trailer."""
+    return body + _trailer(body)
 
 
 def run(capsys, *argv):
@@ -135,8 +143,8 @@ def test_cache_written_then_reused(tmp_path, capsys):
 
     # Doctor the cached table and seal it again; a smaller request must come
     # from the file, truncated to the new bound.
-    body = _unsealed(files[0].read_text())
-    files[0].write_text(_sealed(body.replace("3\t2", "3\t99")))
+    body = _unsealed(files[0].read_bytes()).decode()
+    files[0].write_bytes(_sealed(body.replace("3\t2", "3\t99").encode()))
     code, out, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10",
                        "--cache", str(cache))
     assert code == 0
@@ -177,7 +185,7 @@ def test_cache_reads_only_its_own_file(tmp_path, capsys):
                        "--cache", str(cache))
     assert code == 0
     assert out == fresh
-    assert canonical.read_text() == _sealed(fresh)
+    assert canonical.read_bytes() == _sealed(fresh.encode())
     # the write went through a temporary file that is gone
     assert sorted(p.name for p in cache.iterdir()) == sorted(
         ["foreign.tsv", canonical.name])
@@ -197,19 +205,19 @@ def test_cache_cut_at_line_boundary_is_a_miss(tmp_path, capsys):
                            "--cache", str(cache))
         assert code == 0
         assert out == fresh
-        assert path.read_text() == _sealed(fresh)  # recomputed and rewritten
+        assert path.read_bytes() == _sealed(fresh.encode())  # recomputed and rewritten
 
 
 def test_cache_trailer_checks_body():
     body = "# weylzeta v1 group=A1:sc variant=zeta maxdim=3\n1\t1\n2\t1\n3\t1\n"
-    sealed = _sealed(body)
+    sealed = _sealed(body.encode()).decode()
     assert sealed.startswith(body)
     assert sealed[len(body):].startswith("# entries=3 sha256=")
-    assert _unsealed(sealed) == body
+    assert _unsealed(sealed.encode()) == body.encode()
     for bad in (body, sealed.replace("2\t1", "2\t2"), sealed[:-2] + "\n",
                 sealed + "4\t1\n", ""):
         with pytest.raises(ValueError):
-            _unsealed(bad)
+            _unsealed(bad.encode())
 
 
 @pytest.mark.parametrize("command, group, key", [
@@ -227,7 +235,7 @@ def test_cache_header_must_name_the_key(tmp_path, capsys, command, group, key):
     code, out, _ = run(capsys, command, "--group", group, "--max-dim", "40",
                        "--cache", str(cache))
     assert (code, out) == (0, fresh)
-    assert path.read_text() == _sealed(fresh)
+    assert path.read_bytes() == _sealed(fresh.encode())
 
 
 @pytest.mark.parametrize("row", [
@@ -241,14 +249,14 @@ def test_cache_malformed_row_is_a_miss(tmp_path, capsys, row, where):
     cache = tmp_path / "cache"
     run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "20", "--cache", str(cache))
     path = _cache_path(cache, "A2:sc", "zeta")
-    body = _unsealed(path.read_text())
+    body = _unsealed(path.read_bytes()).decode()
     assert f"\n{where}\n" in body
-    path.write_text(_sealed(body.replace(f"\n{where}\n", f"\n{row}\n")))
+    path.write_bytes(_sealed(body.replace(f"\n{where}\n", f"\n{row}\n").encode()))
     _, fresh, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10")
     code, out, err = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10",
                          "--cache", str(cache))
     assert (code, out, err) == (0, fresh, "")
-    assert path.read_text() == _sealed(fresh)
+    assert path.read_bytes() == _sealed(fresh.encode())
 
 
 @pytest.mark.parametrize("group", [
@@ -260,8 +268,8 @@ def test_cache_hit_matches_fresh_table(tmp_path, capsys, monkeypatch, command, g
     cache = tmp_path / "cache"
     run(capsys, command, "--group", group, "--max-dim", str(top), "--cache", str(cache))
     [path] = cache.glob("*.tsv")
-    stored = path.read_text()
-    table = DegreeTable.from_text(_unsealed(stored))
+    stored = path.read_bytes()
+    table = DegreeTable.from_text(_unsealed(stored).decode())
     fresh = [run(capsys, command, "--group", group, "--max-dim", str(b))[1]
              for b in range(1, top + 1)]
 
@@ -275,7 +283,63 @@ def test_cache_hit_matches_fresh_table(tmp_path, capsys, monkeypatch, command, g
                            "--cache", str(cache))
         assert code == 0
         assert out == fresh[b - 1] == truncated(table, b).to_text(), b
-    assert path.read_text() == stored
+    assert path.read_bytes() == stored
+
+
+@pytest.mark.parametrize("group", ["A1:sc", "G2xA2:sc"])
+@pytest.mark.parametrize("command", ["zeta", "zeta-star"])
+def test_cache_cut_at_digit_length_edges(tmp_path, capsys, monkeypatch, command, group):
+    # the cut is found by bisecting line offsets; bounds around 10^k move it
+    # across rows whose lines change length
+    bounds = [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1199, 1200]
+    cache = tmp_path / "cache"
+    run(capsys, command, "--group", group, "--max-dim", "1200", "--cache", str(cache))
+    fresh = [run(capsys, command, "--group", group, "--max-dim", str(b))[1] for b in bounds]
+
+    def no_compute(*args):
+        raise AssertionError("a cache hit computed the table")
+
+    monkeypatch.setattr(cli, "zeta_coefficients", no_compute)
+    monkeypatch.setattr(cli, "zeta_star_coefficients", no_compute)
+    served = [run(capsys, command, "--group", group, "--max-dim", str(b),
+                  "--cache", str(cache)) for b in bounds]
+    assert served == [(0, out, "") for out in fresh]
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"maxdim=20\n", b"maxdim=20\xff\n"), (b"\n15\t4\n", b"\n15\t\xff4\n"),
+], ids=["header", "beyond_bound"])
+def test_cache_undecodable_byte_is_a_miss(tmp_path, capsys, old, new):
+    cache = tmp_path / "cache"
+    run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "20", "--cache", str(cache))
+    path = _cache_path(cache, "A2:sc", "zeta")
+    body = _unsealed(path.read_bytes())
+    assert body.count(old) == 1
+    path.write_bytes(_sealed(body.replace(old, new)))
+    _, fresh, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10")
+    code, out, err = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10",
+                         "--cache", str(cache))
+    assert (code, out, err) == (0, fresh, "")
+    assert path.read_bytes() == _sealed(fresh.encode())
+
+
+def test_cache_long_group_name(tmp_path, capsys, monkeypatch):
+    # SU(3)^7 over the 27 words of a ternary [7, 3] code: a 1,288-character
+    # canonical name, whose file name is cut to fit the file system
+    rows = [(1, 0, 0, 1, 1, 0, 1), (0, 1, 0, 1, 0, 1, 1), (0, 0, 1, 0, 1, 1, 2)]
+    pair = ["0,0", "1/3,2/3", "2/3,1/3"]
+    words = [",".join(pair[sum(map(mul, a, col)) % 3] for col in zip(*rows))
+             for a in product(range(3), repeat=3)]
+    group = "x".join(["A2"] * 7) + ":cosets[" + ";".join(words) + "]"
+    cache = tmp_path / "cache"
+    _, fresh, _ = run(capsys, "zeta", "--group", group, "--max-dim", "30")
+    assert run(capsys, "zeta", "--group", group, "--max-dim", "30",
+               "--cache", str(cache)) == (0, fresh, "")
+    [path] = cache.iterdir()
+    assert len(os.fsencode(path.name)) <= 255
+    monkeypatch.setattr(cli, "zeta_coefficients", None)  # a hit computes nothing
+    assert run(capsys, "zeta", "--group", group, "--max-dim", "30",
+               "--cache", str(cache)) == (0, fresh, "")
 
 
 def test_parser_reused_across_calls(tmp_path, capsys):
