@@ -5,12 +5,15 @@ The efficiency of a root system R is the largest value of
 nonempty, and the level of R is the smallest positive-root count of R'
 among maximizing pairs.  eff_formula returns the closed-form values for
 the irreducible families; eff_bruteforce recomputes them by exhaustive
-search on systems with at most 24 positive roots.
+search on systems with at most 63 positive roots, E7 and smaller.
 
 The search ranges over full subsystems, those of the form R intersected
 with a subspace.  By Bourbaki (Lie Groups VI, 1.7, Prop. 24) these are
 exactly the W-conjugates of the standard parabolic subsystems, so
 _full_subsystem_masks lists them as orbits under the simple reflections.
+W permutes the roots, so it keeps disjointness and both sizes of a pair,
+and R' need range over the standard parabolic subsystems only; R''
+ranges over every full subsystem.
 The larger class of closed subsystems (enumerate_closed_subsystems, every
 symmetric subset closed under root addition, re-closed by rootsys.closure)
 would admit pairs like the long A2 inside G2 whose ratio exceeds the
@@ -21,12 +24,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import getitem
 
 from ._linalg import annihilator, echelon
 from .rootsys import FamilyRank, RootSystem, Subsystem, build, closure
 
-# Exhaustive search is limited to systems no larger than F4.
-_BRUTE_LIMIT = 24
+# The pair search admits systems no larger than E7; listing closed
+# subsystems, which is exponential, stops at F4.
+_BRUTE_LIMIT = 63
+_CLOSED_LIMIT = 24
 
 
 class EffResult(namedtuple("EffResult", "eff lev witness", defaults=(None,))):
@@ -41,30 +47,22 @@ def eff_formula(ident) -> EffResult:
     n = fr.rank
     if fr.family == "A":
         return EffResult(Fraction(n, n + 2), n * (n - 1) // 2)
-    if fr.family in ("B", "C"):
-        return EffResult(Fraction(n - 1, n + 1), (n - 1) ** 2)
-    if fr.family == "D":
-        return EffResult(Fraction(n - 1, n + 1), (n - 1) * (n - 2))
-    table = {
-        ("E", 6): (Fraction(10, 17), 20),
-        ("E", 7): (Fraction(3, 5), 36),
-        ("E", 8): (Fraction(7, 13), 63),
-        ("F", 4): (Fraction(3, 7), 9),
-        ("G", 2): (Fraction(1, 5), 1),
-    }
-    eff, lev = table[(fr.family, fr.rank)]
-    return EffResult(eff, lev)
+    if fr.family in "BCD":
+        return EffResult(Fraction(n - 1, n + 1), (n - 1) * (n - 2 if fr.family == "D" else n - 1))
+    num, den, lev = {"E6": (10, 17, 20), "E7": (3, 5, 36), "E8": (7, 13, 63),
+                     "F4": (3, 7, 9), "G2": (1, 5, 1)}[str(fr)]
+    return EffResult(Fraction(num, den), lev)
 
 
 def _as_system(arg) -> RootSystem:
     return arg if isinstance(arg, RootSystem) else build(arg)
 
 
-def _check_size(system: RootSystem) -> None:
-    if system.num_positive > _BRUTE_LIMIT:
+def _check_size(system: RootSystem, limit: int) -> None:
+    if system.num_positive > limit:
         raise ValueError(
             f"{system.id} has {system.num_positive} positive roots; "
-            f"exhaustive search is limited to {_BRUTE_LIMIT}"
+            f"exhaustive search is limited to {limit}"
         )
 
 
@@ -76,7 +74,7 @@ def enumerate_closed_subsystems(system) -> list[Subsystem]:
     bitmask.
     """
     system = _as_system(system)
-    _check_size(system)
+    _check_size(system, _CLOSED_LIMIT)
     m = system.num_positive
     seen = {0}
     stack = [0]
@@ -89,12 +87,24 @@ def enumerate_closed_subsystems(system) -> list[Subsystem]:
             if ext not in seen:
                 seen.add(ext)
                 stack.append(ext)
-    out = [
-        Subsystem(system, frozenset(i for i in range(m) if mask >> i & 1))
-        for mask in seen
-    ]
+    out = [Subsystem(system, frozenset(_bits(mask))) for mask in seen]
     out.sort(key=lambda s: (s.num_positive, sorted(s.pos_indices)))
     return out
+
+
+def _standard_masks(system: RootSystem) -> list[int]:
+    """Bitmask of the roots supported on J, for each subset J of the simple roots, by J."""
+    supports = [sum(1 << i for i, x in enumerate(c) if x) for c in system.root_coords]
+    return [sum(1 << b for b, sup in enumerate(supports) if not sup & ~J)
+            for J in range(1 << system.rank)]
+
+
+def _byte_images(images) -> list[int]:
+    """Image of each byte value when bit i goes to bit images[i], built by doubling."""
+    table = [0]
+    for b in images:
+        table += [x | 1 << b for x in table]
+    return table
 
 
 def _full_subsystem_masks(system: RootSystem) -> list[int]:
@@ -104,20 +114,20 @@ def _full_subsystem_masks(system: RootSystem) -> list[int]:
     (Bourbaki, Lie Groups VI, 1.7, Prop. 24): the roots supported on a
     subset J of the simple roots.  Conversely w maps R intersected with V
     onto R intersected with w(V).  So the masks are the orbit of the
-    2^rank standard masks under the simple reflections, applied bit by bit
-    as permutations of the positive-root indices.
+    2^rank standard masks under the simple reflections.  A reflection
+    permutes the positive-root indices; it maps a mask byte by byte, each
+    byte's 256 images tabulated by doubling, and the images of the bytes
+    are disjoint, so they add.
     """
-    perms = system.reflections
-    found = {
-        sum(1 << b for b, c in enumerate(system.root_coords)
-            if all(x == 0 or J >> i & 1 for i, x in enumerate(c)))
-        for J in range(1 << system.rank)
-    }
+    nbytes = (system.num_positive + 7) // 8
+    tables = [[_byte_images(perm[k:k + 8]) for k in range(0, len(perm), 8)]
+              for perm in system.reflections]
+    found = set(_standard_masks(system))
     stack = list(found)
     while stack:
-        bits = _bits(stack.pop())
-        for perm in perms:
-            image = sum(1 << perm[b] for b in bits)
+        data = stack.pop().to_bytes(nbytes, "little")
+        for per_byte in tables:
+            image = sum(map(getitem, per_byte, data))
             if image not in found:
                 found.add(image)
                 stack.append(image)
@@ -127,38 +137,39 @@ def _full_subsystem_masks(system: RootSystem) -> list[int]:
 def eff_bruteforce(system) -> EffResult:
     """Exhaustive efficiency over pairs of disjoint full subsystems.
 
-    R' ranges over nonempty proper full subsystems, R'' over full
-    subsystems disjoint from R'.  Among maximizing pairs the witness has
-    the fewest positive roots in R', ties broken by index order.  For a
-    given R' the best R'' is the first disjoint one in the order of
-    decreasing size, then index order; ratios compare in integers.
+    R' ranges over the 2^rank - 2 nonempty proper standard parabolic
+    subsystems, R'' over full subsystems disjoint from R'; a W-conjugate
+    of a pair has the same ratio.  Systems with more than 63 positive
+    roots (E8, and the larger classical types) are refused.  Among
+    maximizing pairs the witness has the fewest positive roots in R',
+    ties broken by index order: of two equal-sized masks, the one owning
+    the lowest bit where they differ comes first, so the bit-reversed
+    mask orders them.  For a given R' the best R'' is the first disjoint
+    one in the order of decreasing size, then index order; ratios compare
+    in integers.
     """
     system = _as_system(system)
-    _check_size(system)
-    masks = _full_subsystem_masks(system)
-    npos = system.num_positive
-    full = (1 << npos) - 1
-    primaries = [mk for mk in masks if mk and mk != full]
-    if not primaries:
+    _check_size(system, _BRUTE_LIMIT)
+    if system.rank == 1:
         raise ValueError(f"{system.id} has no nonempty proper subsystem")
-    secondaries = sorted(masks, key=lambda mk: (-mk.bit_count(), _bits(mk)))
-    best = None
-    for m1 in primaries:
-        m2 = next(mk for mk in secondaries if not m1 & mk)
-        # |R'| / (|R| - |R''|) = num / den, counted in positive roots
-        num, den = m1.bit_count(), npos - m2.bit_count()
-        if best is not None:
-            best_num, best_den, best_m1, _ = best
-            ahead = num * best_den - best_num * den
-            if ahead < 0 or ahead == 0 and (num, _bits(m1)) >= (best_num, _bits(best_m1)):
-                continue
-        best = (num, den, m1, m2)
-    num, den, m1, m2 = best
+    npos = system.num_positive
+    width = f"0{npos}b"
+
+    def order(mask: int) -> tuple[int, int]:
+        return mask.bit_count(), int(format(mask, width)[::-1], 2)
+
+    secondaries = sorted(_full_subsystem_masks(system), key=order, reverse=True)
+    # |R'| / (|R| - |R''|) counted in positive roots, then fewer roots in
+    # R', then index order; R'' is the first disjoint secondary
+    eff, neg_lev, _, m1, m2 = max(
+        [(Fraction(m1.bit_count(), npos - m2.bit_count()), -m1.bit_count(), order(m1)[1], m1, m2)
+         for m1 in _standard_masks(system)[1:-1]
+         for m2 in [next(mk for mk in secondaries if not m1 & mk)]])
     witness = (
         Subsystem(system, frozenset(_bits(m1))),
         Subsystem(system, frozenset(_bits(m2))),
     )
-    return EffResult(Fraction(num, den), num, witness)
+    return EffResult(eff, -neg_lev, witness)
 
 
 def _bits(mask: int) -> tuple[int, ...]:

@@ -13,9 +13,10 @@ basis, where rho is the all-ones vector.
 
 Each rule is stated once.  _is_type decides which (family, rank) labels
 exist; FamilyRank, all_types and classify_subsystem read it.  Closure of
-a set of roots is tracked on integer positive-root indices: a table per
-system lists the roots each pair forces, and closure() serves both
-Subsystem.is_closed and efficiency.enumerate_closed_subsystems.
+a set of roots is tracked on integer positive-root indices:
+Subsystem.is_closed tests the sum and difference of each pair of members,
+and closure(), for efficiency.enumerate_closed_subsystems, reads a table
+per system of the roots each pair forces.
 """
 
 from __future__ import annotations
@@ -327,28 +328,31 @@ class Subsystem(namedtuple("Subsystem", "parent pos_indices")):
         return len(self.pos_indices)
 
     def is_closed(self) -> bool:
-        """Sum closure: a, b in S and a + b a root imply a + b in S."""
-        mask = sum(1 << i for i in self.pos_indices)
-        return closure(self.parent, mask) == mask
+        """Sum closure: a, b in S and a + b a root imply a + b in S.
+
+        S is symmetric, so the sums to test are a + b and a - b, up to
+        sign, for positive members a and b.
+        """
+        index = _signed_index(self.parent)
+        coords = [self.parent.root_coords[i] for i in self.pos_indices]
+        return all(k in self.pos_indices for i, a in enumerate(coords)
+                   for b in coords[:i] for k in _forced(index, a, b))
+
+
+def _forced(index, a, b) -> tuple[int, ...]:
+    """Positive-root indices of +-(a + b) and +-(a - b), those that are roots.
+
+    A symmetric set containing +-a and +-b must contain them, so closure
+    can be tracked on positive indices alone.
+    """
+    return tuple(index[s] for s in (_vadd(a, b), _vsub(a, b)) if s in index)
 
 
 @lru_cache(maxsize=None)
 def _forced_table(system) -> list[list[tuple[int, ...]]]:
-    """forced[i][j] = positive-root indices that roots i and j jointly force.
-
-    A symmetric set containing +-a and +-b must contain +-(a+b) and
-    +-(a-b) whenever those are roots, so closure can be tracked on
-    positive indices alone.
-    """
-    pos = system.root_coords
+    """forced[i][j] = _forced of positive roots i and j."""
     index = _signed_index(system)
-    m = len(pos)
-    forced = [[() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i):
-            pair = (_vadd(pos[i], pos[j]), _vsub(pos[i], pos[j]))
-            forced[i][j] = forced[j][i] = tuple(index[s] for s in pair if s in index)
-    return forced
+    return [[_forced(index, a, b) for b in system.root_coords] for a in system.root_coords]
 
 
 def closure(system, mask: int) -> int:

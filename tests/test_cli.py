@@ -508,11 +508,11 @@ def test_efficiency_with_witness(capsys):
     assert "witness: A1 | A1" in out
 
 
-@pytest.mark.parametrize("name", ["E6", "B5"])
+@pytest.mark.parametrize("name", ["E8", "B8"])
 def test_efficiency_refusal_prints_nothing(capsys, name):
     code, out, err = run(capsys, "efficiency", "--type", name, "--brute-force")
     assert (code, out) == (2, "")
-    assert "exhaustive search is limited to 24" in err
+    assert "exhaustive search is limited to 63" in err
 
 
 def test_compare_orders_types(capsys):

@@ -135,10 +135,19 @@ BRUTE_WITNESS = {
     "F4": [["B3"], ["C3"]],
 }
 
+# past F4 the search admits systems up to E7; each runs once
+WIDE_WITNESS = {
+    "A7": [["A6"]],
+    "B5": [["B4"]],
+    "D5": [["D4"]],
+    "E6": [["D5"]],
+    "E7": [["E6"]],
+}
+
 
 @pytest.mark.parametrize("name,count", [
     ("G2", 8), ("B3", 24), ("A4", 52), ("D4", 72), ("C4", 116), ("B4", 116), ("F4", 268),
-    ("A5", 203), ("D5", 403), ("B5", 648), ("A6", 877),
+    ("A5", 203), ("D5", 403), ("B5", 648), ("A6", 877), ("E6", 4598), ("E7", 90408),
 ])
 def test_full_subsystem_counts(name, count):
     assert len(_full_subsystem_masks(build(name))) == count
@@ -150,7 +159,7 @@ def test_full_subsystem_masks_match_subspace_search(name):
     assert _full_subsystem_masks(system) == oracles._full_subsystem_masks(system)
 
 
-@pytest.mark.parametrize("name", sorted(BRUTE_WITNESS))
+@pytest.mark.parametrize("name", sorted(BRUTE_WITNESS | WIDE_WITNESS))
 def test_bruteforce_matches_formula(name):
     res = eff_bruteforce(name)
     expected = eff_formula(name)
@@ -163,11 +172,15 @@ def test_bruteforce_matches_formula(name):
     total = build(name).num_roots
     assert F(2 * prime.num_positive, total - 2 * second.num_positive) == res.eff
     types = [str(t) for t in classify_subsystem(prime)]
-    assert types in BRUTE_WITNESS[name]
+    assert types in (BRUTE_WITNESS | WIDE_WITNESS)[name]
 
 
 def _oracle_pair_search(system):
-    """The pair search with one Fraction key per disjoint pair."""
+    """The pair search with one Fraction key per disjoint pair.
+
+    R' ranges over every nonempty proper full subsystem, not only the
+    standard parabolic ones the package searches.
+    """
     masks = _full_subsystem_masks(system)
     full = (1 << system.num_positive) - 1
     best_key = None
@@ -185,7 +198,7 @@ def _oracle_pair_search(system):
     return -neg_eff, lev, frozenset(bits1), frozenset(bits2)
 
 
-@pytest.mark.parametrize("name", sorted(BRUTE_WITNESS))
+@pytest.mark.parametrize("name", sorted(BRUTE_WITNESS) + ["A5", "D5"])
 def test_bruteforce_matches_fraction_oracle(name):
     res = eff_bruteforce(name)
     prime, second = res.witness
@@ -206,7 +219,7 @@ def test_bruteforce_a1_has_no_proper_subsystem():
 
 def test_bruteforce_size_guard():
     with pytest.raises(ValueError):
-        eff_bruteforce("E6")
+        eff_bruteforce("E8")
 
 
 # -- ordering ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -338,21 +339,27 @@ def test_classify_rejects_non_closed():
 CLOSURE_SUBSETS = {"A1", "A2", "B2", "G2", "A3", "B3", "C3"}
 
 
-@pytest.mark.parametrize("fr", all_types(5), ids=str)
+@pytest.mark.parametrize("fr", all_types(8), ids=str)
 def test_is_closed_matches_fraction_oracle(fr):
-    """Integer closure against the Fraction pair loop: every subset of the
-    positive roots on the small types, and on every type up to rank 5 the
-    orthogonal subsystem of each 0/1 weight with one variant that has the
-    last root index toggled."""
+    """Pair test against the Fraction pair loop: every subset of the
+    positive roots on the small types; the orthogonal subsystem of each
+    0/1 weight up to rank 5, and of eight seeded random ones past it, with
+    one variant that has the last root index toggled; and on every type
+    seeded random subsets, twenty of at most three roots, which are often
+    closed, and ten of any size."""
     system = build(fr)
     m = system.num_positive
+    rng = random.Random(str(fr))
     cases = []
     if str(fr) in CLOSURE_SUBSETS:
         cases += [frozenset(i for i in range(m) if mask >> i & 1) for mask in range(1 << m)]
-    for mask in range(1 << system.rank):
+    masks = range(1 << system.rank)
+    for mask in masks if system.rank <= 5 else rng.sample(masks, 8):
         lam = tuple(mask >> i & 1 for i in range(system.rank))
         idx = orthogonal_subsystem(system, lam).pos_indices
         cases += [idx, idx ^ {m - 1}]
+    cases += [frozenset(rng.sample(range(m), rng.randint(1, min(3, m)))) for _ in range(20)]
+    cases += [frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(10)]
     for idx in cases:
         sub = Subsystem(system, idx)
         assert sub.is_closed() is oracles.is_closed(sub), sorted(idx)
