@@ -5,7 +5,8 @@ The efficiency of a root system R is the largest value of
 nonempty, and the level of R is the smallest positive-root count of R'
 among maximizing pairs.  eff_formula returns the closed-form values for
 the irreducible families; eff_bruteforce recomputes them by exhaustive
-search on systems with at most 63 positive roots, E7 and smaller.
+search on systems with at most 63 positive roots and 200,000 flats, E7 and
+smaller.
 
 The search ranges over full subsystems, those of the form R intersected
 with a subspace.  By Bourbaki (Lie Groups VI, 1.7, Prop. 24) these are
@@ -30,9 +31,12 @@ from ._linalg import annihilator, echelon
 from .rootsys import FamilyRank, RootSystem, Subsystem, build, closure
 
 # The pair search admits systems no larger than E7; listing closed
-# subsystems, which is exponential, stops at F4.
+# subsystems, which is exponential, stops at F4.  The flats of A_n number
+# B(n + 1), a Bell number, so past E7's 90,408 the search stops by flat count
+# too: D8 has 137,528 and A10, refused, 678,570.
 _BRUTE_LIMIT = 63
 _CLOSED_LIMIT = 24
+_FLAT_LIMIT = 200_000
 
 
 class EffResult(namedtuple("EffResult", "eff lev witness", defaults=(None,))):
@@ -117,7 +121,7 @@ def _full_subsystem_masks(system: RootSystem) -> list[int]:
     2^rank standard masks under the simple reflections.  A reflection
     permutes the positive-root indices; it maps a mask byte by byte, each
     byte's 256 images tabulated by doubling, and the images of the bytes
-    are disjoint, so they add.
+    are disjoint, so they add.  More than _FLAT_LIMIT masks are refused.
     """
     nbytes = (system.num_positive + 7) // 8
     tables = [[_byte_images(perm[k:k + 8]) for k in range(0, len(perm), 8)]
@@ -125,6 +129,9 @@ def _full_subsystem_masks(system: RootSystem) -> list[int]:
     found = set(_standard_masks(system))
     stack = list(found)
     while stack:
+        if len(found) > _FLAT_LIMIT:
+            raise ValueError(f"{system.id} has more than {_FLAT_LIMIT} full subsystems; "
+                             f"exhaustive search is limited to {_FLAT_LIMIT}")
         data = stack.pop().to_bytes(nbytes, "little")
         for per_byte in tables:
             image = sum(map(getitem, per_byte, data))
@@ -140,7 +147,8 @@ def eff_bruteforce(system) -> EffResult:
     R' ranges over the 2^rank - 2 nonempty proper standard parabolic
     subsystems, R'' over full subsystems disjoint from R'; a W-conjugate
     of a pair has the same ratio.  Systems with more than 63 positive
-    roots (E8, and the larger classical types) are refused.  Among
+    roots (E8, and the larger classical types) or more than 200,000 full
+    subsystems (A10) are refused.  Among
     maximizing pairs the witness has the fewest positive roots in R',
     ties broken by index order: of two equal-sized masks, the one owning
     the lowest bit where they differ comes first, so the bit-reversed

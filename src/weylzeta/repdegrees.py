@@ -11,10 +11,10 @@ series is a list indexed by degree when dense, else a dict (_dense).
 
 A1 factors are written in closed form by a1_series, which gassmann uses
 too.  Other factors go through one walk, _chains, over stems, the weights
-whose last coordinate is 0: past a short head, each stem's chain along that
-coordinate is a product of counts in C, kept only in the classes the
-lattice uses.  For zeta_star a sieve flags the gcds a prime = 1 mod N
-divides.  allowable and in_lattice remain as the per-weight definitions.
+whose last coordinate is 0: each stem's chain along that coordinate is a
+product of counts in C, kept only in the classes the lattice uses.  For
+zeta_star a sieve flags the gcds no prime = 1 mod N divides.  allowable
+and in_lattice remain as the per-weight definitions.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections import Counter, _count_elements, defaultdict, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, compress, count, groupby, islice, repeat, starmap, takewhile, zip_longest
+from itertools import compress, count, groupby, islice, repeat, starmap, takewhile, zip_longest
 from operator import add, eq, floordiv, itemgetter, mul, not_
 
 from .rootsys import FamilyRank, RootSystem, build, ensure
@@ -217,22 +217,22 @@ def _columns(fr: FamilyRank) -> tuple:
         compress(enumerate(last), last))
 
 
-def _chains(fr: FamilyRank, bound: int, kind: str, wanted, hit=None):
+def _chains(fr: FamilyRank, bound: int, kind: str, wanted, keep=None):
     """The dominant weights of one factor with dimension <= bound, by chains.
 
-    Yields (v, c, t, per, dims) per stem (a weight with last coordinate 0)
-    and class c in wanted (indexing _center_steps(fr, kind)[0]): v holds the
-    stem's pairings <lam + rho, beta^vee>, and its weights of class c have
-    last coordinate t, t + per, ... and dimensions dims.  Raising lam_i adds
-    column i of the coroots to them; dim <= bound iff their product is at
-    most bound * Delta.  A chain's head runs in Python, the rest as counts
-    multiplied in C.  hit (_sieve) drops weights whose gcd it flags.
+    Yields (v, c, t, per, dims), dims nonempty, per stem (a weight with
+    last coordinate 0) and class c in wanted (indexing
+    _center_steps(fr, kind)[0]): v holds the stem's pairings
+    <lam + rho, beta^vee>, and its weights of class c have last coordinate
+    t, t + per, ... and dimensions dims.  Raising lam_i adds column i of the
+    coroots to them; dim <= bound iff their product is at most
+    bound * Delta.  A chain is a product of counts multiplied in C.  keep
+    (_sieve), if given, keeps only the weights whose gcd it flags.
     """
     n, delta = fr.rank, _delta(fr)
     limit, div = bound * delta, delta.__rfloordiv__
     cols, last, vals, rest, ((j0, a0), *pairs) = _columns(fr)
     *steps, step = _center_steps(fr, kind)[1]
-    keep = None if hit is None else hit.translate(_FLIP)
     left = MAX_ENTRIES
     stack = [(0, vals, math.prod(vals), 0)] if math.prod(vals) <= limit else []
     while stack:
@@ -242,45 +242,30 @@ def _chains(fr: FamilyRank, bound: int, kind: str, wanted, hit=None):
             w = list(map(add, v, cols[i]))
             if (q := math.prod(w)) <= limit:
                 stack.append((i, w, q, steps[i][c]))
-        heads, w, tail = [p], v, False  # the Weyl products at t = 0, 1, ...
-        while not tail:
-            w = list(map(add, w, last))
-            if (q := math.prod(w)) > limit:
-                break
-            m = (limit - q) // (q - heads[-1])  # at most m more fit: the product is convex in t
-            heads.append(q)
-            if not m:
-                break
-            tail = len(heads) > 4 < m  # C takes over if more than 4 may follow 4
-        if not tail and keep is None and (step[c] == c or len(heads) == 1):
-            if c in wanted:  # the common case: one record, from the head
-                left -= len(heads)
-                yield v, c, 0, 1, list(map(div, heads))
+        if math.prod(map(add, v, last)) > limit:  # one weight, t = 0, of gcd 1
+            if c in wanted:
+                left -= 1
+                yield v, c, 0, 1, [div(p)]
             continue
         orbit = [c]  # the classes along the chain
         while step[orbit[-1]] != c:
             orbit.append(step[orbit[-1]])
         per = len(orbit)
-        if tail:
-            const = math.prod(compress(v, rest))
-        if keep is not None:
-            g = math.gcd(*compress(v, rest))  # gcd(g, t + 1) is a weight's gcd
-        for r in range(per if tail else min(per, len(heads))):
-            if (e := orbit[r]) not in wanted:
+        const = math.prod(compress(v, rest))
+        g = math.gcd(*compress(v, rest))  # gcd(g, t + 1) is a weight's gcd
+        for r, e in enumerate(orbit):
+            if e not in wanted:
                 continue
-            prods = heads[r::per]
-            if tail:  # from the first t = r mod per past the head
-                t = r + per * ((len(heads) - r + per - 1) // per)
-                more = count(const * (v[j0] + t * a0), const * per * a0)
-                for j, a in pairs:
-                    more = map(mul, more, count(v[j] + t * a, per * a))
-                prods = chain(prods, islice(takewhile(limit.__ge__, more), max(left, 0) + 1))
-            if keep is not None and (g >= len(hit) or hit[g]):
+            prods = count(const * (v[j0] + r * a0), const * per * a0)
+            for j, a in pairs:
+                prods = map(mul, prods, count(v[j] + r * a, per * a))
+            prods = takewhile(limit.__ge__, prods)
+            if keep is not None and (g >= len(keep) or not keep[g]):
                 gcds = map(math.gcd, repeat(g), count(r + 1, per))
                 prods = compress(prods, map(keep.__getitem__, gcds))
-            dims = list(map(div, prods))
-            left -= len(dims)
-            yield v, e, r, per, dims
+            if dims := list(map(div, islice(prods, max(left, 0) + 1))):
+                left -= len(dims)
+                yield v, e, r, per, dims
     _admit(MAX_ENTRIES - left)
 
 
@@ -369,36 +354,35 @@ def _primes(limit: int) -> bytearray:
 
 
 def _sieve(limit: int, N: int) -> bytearray:
-    """hit[g] is 1 iff a prime = 1 mod N divides g, for 0 <= g <= limit.
+    """keep[g] is 1 iff no prime = 1 mod N divides g, for 0 <= g <= limit.
 
     With s = isqrt(limit), g has at most one prime factor p > s, and then
-    g = m p with m <= limit // (s + 1).  big flags the primes q = 1 + kN in
+    g = m p with m <= limit // (s + 1).  big clears the primes q = 1 + kN in
     (s, limit]; for each m in increasing order a slice copies it to the m q
-    (a 0 at m q with p | q is rewritten by m q / p > m).  Then each prime
-    = 1 mod N up to s marks its multiples.
+    (a 1 at m q with p | q is rewritten by m q / p > m).  Then each prime
+    = 1 mod N up to s clears its multiples.
     """
     if limit > MAX_SIEVE:
         raise ValueError(f"the strip sieve needs more than {MAX_SIEVE} slots; lower the bound")
     s = math.isqrt(limit)
-    hit = bytearray(limit + 1)
-    hit[0] = 1  # every prime divides 0
-    big = bytearray([1]) * ((limit - 1) // N + 1)  # big[k] for q = 1 + kN
+    keep = bytearray([1]) * (limit + 1)
+    keep[0] = 0  # every prime divides 0
+    big = bytearray((limit - 1) // N + 1)  # big[k] for q = 1 + kN
     k0 = (s - 1) // N + 1  # the first q past s
-    big[:k0] = bytes(k0)
+    big[:k0] = bytearray([1]) * k0
     small = list(compress(range(s + 1), _primes(s)))
     for p in small:
         if N % p:  # q = 1 + kN is a multiple of p iff k = -1/N mod p
             k = -pow(N, -1, p) % p
-            big[k::p] = bytes(len(range(k, len(big), p)))
+            big[k::p] = bytearray([1]) * len(range(k, len(big), p))
     big = memoryview(big)
     for m in range(1, limit // (s + 1) + 1):
         k1 = (limit // m - 1) // N
-        hit[m * (1 + k0 * N):m * (1 + k1 * N) + 1:m * N] = big[k0:k1 + 1]
-    ones = memoryview(b"\1" * (limit // (N + 1)))
+        keep[m * (1 + k0 * N):m * (1 + k1 * N) + 1:m * N] = big[k0:k1 + 1]
     for p in small:
         if p % N == 1:
-            hit[p::p] = ones[:limit // p]
-    return hit
+            keep[p::p] = bytearray(limit // p)
+    return keep
 
 
 def _smooth(top: int, N: int) -> list[int]:
@@ -422,8 +406,8 @@ Series = list[int] | dict[int, int]
 # slots), checked before it is built.  A list costs about 30 bytes a slot and
 # a walk about 115 bytes a weight, rendering included (A1:sc to 4*10^6:
 # 110 MiB; A2:sc to 10^9: 434 MiB), so an admitted job stays under about
-# 600 MiB.  A strip sieve costs about 2.2 bytes a slot, 3.5 with a1_series'
-# copies (zeta-star A1:sc to 3*10^7: 105 MiB).
+# 600 MiB.  A strip sieve costs about 2 bytes a slot, a1_series' copy of it
+# included (zeta-star A1:sc to 3*10^7: 67 MiB).
 MAX_ENTRIES = 5 * 10**6
 MAX_SIEVE = 8 * MAX_ENTRIES
 
@@ -756,27 +740,24 @@ def graded_product(factors, graded, tuples, bound: int, memo=None) -> Series:
     return {} if total is None else total
 
 
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
-
-
-def a1_series(bound: int, m: int, hit=None) -> list[Series]:
+def a1_series(bound: int, m: int, keep=None) -> list[Series]:
     """The degrees of SU(2) up to bound, one series per center class: the
     weight lam + rho = t has dimension and gcd t, so class j holds the
-    t = j + 1 mod m that a strip sieve hit (_sieve, to bound) does not flag."""
-    if hit is None:  # each class keeps all its t, so a nonempty one is a list
+    t = j + 1 mod m that a strip sieve keep (_sieve, to bound) flags."""
+    if keep is None:  # each class keeps all its t, so a nonempty one is a list
         _admit(bound + 1)
     series = []
     for j in range(m):
         ts = range(j + 1, bound + 1, m)
-        keep = b"\1" * len(ts) if hit is None else hit[j + 1::m].translate(_FLIP)
-        terms = keep.count(1)
+        flags = b"\1" * len(ts) if keep is None else keep[j + 1::m]
+        terms = flags.count(1)
         if _dense(terms, bound):
             _admit(bound + 1)
             s = [0] * (bound + 1)
-            s[j + 1::m] = keep
+            s[j + 1::m] = flags
         else:
             _admit(terms)
-            s = dict.fromkeys(compress(ts, keep), 1)
+            s = dict.fromkeys(compress(ts, flags), 1)
         series.append(s)
     return series
 
@@ -792,15 +773,15 @@ def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
     graded: dict[FamilyRank, dict[tuple, Series]] = {}
     for fr in set(spec.factors):
         gmax = _iroot(D, build(fr).num_positive)
-        hit = _sieve(gmax, N) if star and gmax > N else None
+        keep = _sieve(gmax, N) if star and gmax > N else None
         classes = _center_steps(fr, spec.kind)[0]
         if fr.rank == 1:
-            counts = a1_series(D, len(classes), hit)
+            counts = a1_series(D, len(classes), keep)
         else:
             counts = [{} for _ in classes]
             wanted = {classes.index(t[k]) for t in allowed
                       for k, other in enumerate(spec.factors) if other == fr}
-            for _, c, _, _, dims in _chains(fr, D, spec.kind, wanted, hit):
+            for _, c, _, _, dims in _chains(fr, D, spec.kind, wanted, keep):
                 _count_elements(counts[c], dims)  # Counter.update's loop, in C
         graded[fr] = dict(zip(classes, counts))
     return graded_product(spec.factors, graded, allowed, D)

@@ -515,6 +515,13 @@ def test_efficiency_refusal_prints_nothing(capsys, name):
     assert "exhaustive search is limited to 63" in err
 
 
+def test_efficiency_flat_refusal_prints_nothing(capsys):
+    code, out, err = run(capsys, "efficiency", "--type", "A10", "--brute-force")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "more than 200000 full subsystems" in err
+    assert "Traceback" not in err
+
+
 def test_compare_orders_types(capsys):
     code, out, _ = run(capsys, "compare", "--first", "A3", "--second", "D4")
     assert (code, out.strip()) == (0, "greater")

@@ -222,6 +222,13 @@ def test_bruteforce_size_guard():
         eff_bruteforce("E8")
 
 
+def test_bruteforce_flat_guard():
+    # A10 has 55 positive roots but 678,570 full subsystems: the listing
+    # stops past 200,000, before the pair search starts
+    with pytest.raises(ValueError, match="more than 200000 full subsystems"):
+        eff_bruteforce("A10")
+
+
 # -- ordering ---------------------------------------------------------------
 
 

@@ -418,17 +418,17 @@ A1 = FamilyRank("A", 1)
 @pytest.mark.parametrize("N", [None, 2, 24])
 @pytest.mark.parametrize("kind", ["sc", "adjoint", "cosets"])
 def test_a1_series_matches_walk(kind, N):
-    # the walk's counts by class, dropping the weights whose coordinate gcd
+    # the walk's counts by class, keeping the weights whose coordinate gcd
     # the sieve flags, as _spectrum does for factors of rank >= 2
     rng = random.Random(f"{kind}{N}")
     classes = _center_steps(A1, kind)[0]
     for bound in [0, 1, 2, 3] + [rng.randint(4, 5000) for _ in range(8)]:
-        hit = _sieve(bound, N) if N else None
+        keep = _sieve(bound, N) if N else None
         expect = [{} for _ in classes]
         for d, c, shifted in _factor_spectrum(A1, bound, kind):
-            if hit is None or not hit[math.gcd(*shifted)]:
+            if keep is None or keep[math.gcd(*shifted)]:
                 expect[c][d] = expect[c].get(d, 0) + 1
-        assert [as_dict(s) for s in a1_series(bound, len(classes), hit)] == expect, bound
+        assert [as_dict(s) for s in a1_series(bound, len(classes), keep)] == expect, bound
 
 
 A1_ENGINE_CASES = [
@@ -513,8 +513,11 @@ def test_graded_product_memo_matches_definition(bound):
 
 # -- the factor walk and the sieve against their definitions -----------------
 
+# A5 and A7 have centers of order 6 and 8; at these bounds a chain of each
+# runs past one period of classes
 WALK_CASES = [(fr, 3000) for fr in all_types(4)] + [
-    (FamilyRank("B", 7), 20000), (FamilyRank("E", 6), 20000)]
+    (FamilyRank("B", 7), 20000), (FamilyRank("E", 6), 20000),
+    (FamilyRank("A", 5), 3000), (FamilyRank("A", 7), 10000)]
 
 
 def _weight_box(system, bound):
@@ -581,8 +584,8 @@ def test_chains_match_brute_force(fr, bound):
 
 
 def test_chain_tails_meet_the_head(monkeypatch):
-    # past its Python head a chain goes on as a product of counts in C; on
-    # A3 to 3000 those tails hold 0, 1, 2 and 3 weights, among others, and
+    # a chain is a product of counts in C, cut where it passes the bound;
+    # on A3 to 3000 those cuts keep 0, 1, 2 and 3 weights, among others, and
     # every chain still matches the brute force
     lengths = collections.Counter()
     takewhile = repdegrees.takewhile
@@ -627,33 +630,33 @@ def _prime_factors(n):
 @pytest.mark.parametrize("N", [2, 24, 720])
 def test_sieve_matches_definitions(N):
     limit = 5000
-    hit = _sieve(limit, N)
-    assert len(hit) == limit + 1
+    keep = _sieve(limit, N)
+    assert len(keep) == limit + 1
     for g in [N, N + 1, *range(1, limit + 1)]:
-        assert bool(hit[g]) == _stripped((g - 1,), N), g
+        assert (not keep[g]) == _stripped((g - 1,), N), g
         primes = _prime_factors(g)
-        assert bool(hit[g]) == any(p % N == 1 for p in primes), g
+        assert (not keep[g]) == any(p % N == 1 for p in primes), g
 
 
 def test_sieve_small_limits():
     for limit in range(4):
-        hit = _sieve(limit, 2)
-        assert len(hit) == limit + 1
-        assert list(hit[1:]) == [0, 0, 1][:limit]
+        keep = _sieve(limit, 2)
+        assert len(keep) == limit + 1
+        assert list(keep[1:]) == [1, 1, 0][:limit]
 
 
 @pytest.mark.parametrize("N,k", [(2, 3), (6, 7), (24, 73), (720, 2161)])
 def test_sieve_around_the_first_square(N, k):
     # k is the least prime = 1 mod N: it is past isqrt(limit) at k^2 - 1 and
-    # no longer at k^2; the sieve flags exactly the multiples of such primes
+    # no longer at k^2; the sieve clears exactly the multiples of such primes
     assert isprime(k) and k % N == 1
     assert not any(isprime(q) for q in range(N + 1, k, N))
     for limit in (k * k - 1, k * k, k * k + 1):
-        expect = bytearray(limit + 1)
-        expect[0] = 1
+        expect = bytearray([1]) * (limit + 1)
+        expect[0] = 0
         for p in range(N + 1, limit + 1, N):
             if isprime(p):
-                expect[p::p] = b"\1" * (limit // p)
+                expect[p::p] = bytes(limit // p)
         assert _sieve(limit, N) == expect, limit
 
 
@@ -886,7 +889,7 @@ def test_dirichlet_pow_path_rule(monkeypatch):
     _dirichlet_pow({1: 1, 7: 1, 14: 1, 27: 1, 64: 2, 77: 1}, 128, 10**5)
     zeta_coefficients(GroupSpec.parse("x".join(["G2"] * 8) + ":sc"), 10**5)
     assert calls == []
-    # the A1 series less the values a strip sieve flags stays multiplicative
+    # the A1 series of the values a strip sieve flags stays multiplicative
     (kept,) = a1_series(2000, 1, _sieve(2000, 4))
     assert 2000 > len(as_dict(kept)) >= 2000 / 64
     _dirichlet_pow(kept, 5, 2000)
