@@ -217,24 +217,15 @@ def perm_equivalent(h1: SignHom, h2: SignHom) -> bool:
     """Whether relabeling coordinates carries one image onto the other.
 
     A coordinate permutation identifies the images exactly when some
-    invertible change of source basis matches the functional
-    multiplicities, so 168 linear maps decide it.
+    invertible change of source basis A matches the functional
+    multiplicities.  It takes a functional y to y o A, that is A^T y, and
+    the transposes of GL(3, 2) are GL(3, 2) again, so its 168 action
+    tables decide it as they stand.
     """
     if h1.n != h2.n:
         raise ValueError("homomorphisms target different ranks")
-    for tab in _gl3_tables():
-        composed = {}
-        for y in _SPACE:
-            # encoding of x -> y(tab(x)), read off on the basis
-            composed[y] = (
-                _dot(y, tab[1]) | _dot(y, tab[2]) << 1 | _dot(y, tab[4]) << 2
-            )
-        if all(
-            h1.multiplicities[composed[y]] == h2.multiplicities[y]
-            for y in _SPACE
-        ):
-            return True
-    return False
+    m1, m2 = h1.multiplicities, h2.multiplicities
+    return any(all(m1[tab[y]] == m2[y] for y in _SPACE) for tab in _gl3_tables())
 
 
 # A valid trace function with the smallest dominating value for this

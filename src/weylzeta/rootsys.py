@@ -21,6 +21,7 @@ per system of the roots each pair forces.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import add, mul
@@ -174,6 +175,8 @@ class RootSystem:
                 raise ArithmeticError(f"coroot of {c} is not integral")
             coroots.append(coroot)
         self.coroots: tuple[tuple[int, ...], ...] = tuple(coroots)
+        # Weyl's denominator Delta = prod <rho, beta^vee>, a coroot's coordinate sum
+        self.delta: int = math.prod(map(sum, coroots))
 
         # every non-simple positive coroot is an earlier one plus a simple
         # coroot alpha_j^vee: with slot j holding alpha_j^vee, the step (p, j)
@@ -225,9 +228,6 @@ class RootSystem:
     def inner(self, x, y) -> int:
         """Inner product of two vectors in simple-root coordinates, in the Gram form."""
         return sum(a * sum(map(mul, row, y)) for a, row in zip(x, self._gram))
-
-    def coroot_height(self, alpha_index: int) -> int:
-        return sum(self.coroots[alpha_index])
 
     def root_basis_numerators(self, lam) -> tuple[int, ...]:
         """det(C) times the coordinates of a weight in the simple-root basis."""

@@ -45,8 +45,7 @@ def weyl_polynomial(R: RootSystem, mu, nu) -> WeylPolynomial:
         coeffs = [y * c + x * q for c, q in zip(coeffs + [0], [0] + coeffs)]
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    denom = math.prod(map(R.coroot_height, range(R.num_positive)))
-    return WeylPolynomial(tuple(Fraction(c, denom) for c in coeffs))
+    return WeylPolynomial(tuple(Fraction(c, R.delta) for c in coeffs))
 
 
 def evaluate(P: WeylPolynomial, n) -> Fraction:

@@ -3,7 +3,8 @@
 Each function here is a slower or older definition kept out of the
 package: the subspace search for full subsystems, the per-root spanning
 test, the dense modular rank certificate, the Fraction-vector closure
-test, the GF(2) elimination for spanning the dual of F_2^3, the
+test, the weight-coset rule (C^T v integral) and the Fraction closure of
+coset vectors, the GF(2) elimination for spanning the dual of F_2^3, the
 truncation of a parsed degree table that cache hits are compared
 against, the nonzero terms of a series in either form as a dict, the
 Dirichlet product and power by their definitions, Weyl's
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from operator import mul
 
 from weylzeta._linalg import _PRIME, annihilator, echelon
@@ -249,6 +250,34 @@ def spans_dual(mult: dict[int, int]) -> bool:
         if v:
             basis.append(v)
     return len(basis) == 3
+
+
+def is_weight_coset(factors, v) -> bool:
+    """Fractional root-basis coordinates v name a weight coset iff C^T v is
+    integral on each factor's block."""
+    blocks = zip(factors, GroupSpec(factors).slices())
+    return all(sum(x * row[i] for x, row in zip(v[a:b], build(fr).cartan_matrix)).denominator == 1
+               for fr, (a, b) in blocks for i in range(fr.rank))
+
+
+def closed_under_addition(vectors) -> bool:
+    """Every sum of two Fraction vectors of the set, reduced mod 1, is in it."""
+    members = {tuple(x % 1 for x in v) for v in vectors}
+    return all(tuple((x + y) % 1 for x, y in zip(a, b)) in members
+               for a in members for b in members)
+
+
+def su3_code_words() -> list[str]:
+    """The 27 words of a ternary [7, 3] code as SU(3)^7 coset vectors, one
+    pair of A2 root-basis coordinates per letter."""
+    rows = [(1, 0, 0, 1, 1, 0, 1), (0, 1, 0, 1, 0, 1, 1), (0, 0, 1, 0, 1, 1, 2)]
+    pair = ["0,0", "1/3,2/3", "2/3,1/3"]
+    return [",".join(pair[sum(map(mul, a, col)) % 3] for col in zip(*rows))
+            for a in product(range(3), repeat=3)]
+
+
+def su3_code_group(words) -> str:
+    return "x".join(["A2"] * 7) + ":cosets[" + ";".join(words) + "]"
 
 
 def dim_irrep_product(spec: GroupSpec, lam) -> int:

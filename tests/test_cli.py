@@ -4,8 +4,6 @@ import hashlib
 import json
 import os
 from functools import lru_cache
-from itertools import product
-from operator import mul
 from pathlib import Path
 
 import pytest
@@ -23,7 +21,7 @@ from weylzeta.cli import (
 )
 from weylzeta.repdegrees import DegreeTable
 
-from oracles import truncated
+from oracles import su3_code_group, su3_code_words, truncated
 
 
 def _sealed(body: bytes) -> bytes:
@@ -326,11 +324,7 @@ def test_cache_undecodable_byte_is_a_miss(tmp_path, capsys, old, new):
 def test_cache_long_group_name(tmp_path, capsys, monkeypatch):
     # SU(3)^7 over the 27 words of a ternary [7, 3] code: a 1,288-character
     # canonical name, whose file name is cut to fit the file system
-    rows = [(1, 0, 0, 1, 1, 0, 1), (0, 1, 0, 1, 0, 1, 1), (0, 0, 1, 0, 1, 1, 2)]
-    pair = ["0,0", "1/3,2/3", "2/3,1/3"]
-    words = [",".join(pair[sum(map(mul, a, col)) % 3] for col in zip(*rows))
-             for a in product(range(3), repeat=3)]
-    group = "x".join(["A2"] * 7) + ":cosets[" + ";".join(words) + "]"
+    group = su3_code_group(su3_code_words())
     cache = tmp_path / "cache"
     _, fresh, _ = run(capsys, "zeta", "--group", group, "--max-dim", "30")
     assert run(capsys, "zeta", "--group", group, "--max-dim", "30",
@@ -596,7 +590,7 @@ def test_inverse_cartan_is_eliminated_on_first_read_only(capsys, monkeypatch):
         return lru_cache(maxsize=None)(cached.__wrapped__)
 
     monkeypatch.setattr(rootsys, "_build", fresh(rootsys._build))
-    for name in ("_delta", "_allowed_classes", "_center_steps"):
+    for name in ("_allowed_classes", "_center_steps"):
         monkeypatch.setattr(repdegrees, name, fresh(getattr(repdegrees, name)))
     eliminated = []
 

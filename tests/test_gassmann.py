@@ -1,7 +1,10 @@
 """Tests for the equal-spectrum quotient construction."""
 
+import collections
 import math
+import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -10,7 +13,9 @@ from weylzeta.gassmann import (
     _spans_dual,
     _su2_products,
     DEFAULT_TWIST,
+    SignHom,
     TraceFunction,
+    _gl3_tables,
     build_sign_hom,
     build_trace,
     dirichlet_coeffs,
@@ -307,6 +312,38 @@ def test_perm_equivalent_linear_relabel():
     lin = {0: 0, 1: 2, 2: 1, 3: 3, 4: 4, 5: 6, 6: 5, 7: 7}
     g = TraceFunction(tuple(f.values[lin[x]] for x in range(8)))
     assert perm_equivalent(build_sign_hom(f), build_sign_hom(g))
+
+
+def _hom(functionals) -> SignHom:
+    return SignHom(len(functionals), tuple(functionals),
+                   {y: functionals.count(y) for y in range(8)})
+
+
+def _images_permute(h1: SignHom, h2: SignHom) -> bool:
+    """Brute force: some coordinate permutation carries h1's image set onto h2's."""
+    images, target = ({h.image_bits(x) for x in range(8)} for h in (h1, h2))
+    return any({sum((b >> j & 1) << s for j, s in enumerate(sigma)) for b in images} == target
+               for sigma in permutations(range(h1.n)))
+
+
+def test_perm_equivalent_matches_coordinate_permutations():
+    # seeded random functionals spanning the dual; half the second homs are
+    # the first one's coordinates shuffled and composed with a linear map
+    rng = random.Random(3)
+    found = set()
+    for n in (3, 4, 5):
+        for k in range(40):
+            h1, h2 = (_hom(fs) for fs in (
+                next(fs for fs in iter(lambda: [rng.randrange(8) for _ in range(n)], None)
+                     if oracles.spans_dual(collections.Counter(fs)))
+                for _ in range(2)))
+            if k % 2:
+                tab = rng.choice(_gl3_tables())
+                h2 = _hom([tab[y] for y in rng.sample(h1.functionals, n)])
+            expect = _images_permute(h1, h2)
+            assert perm_equivalent(h1, h2) == expect, (h1.functionals, h2.functionals)
+            found.add(expect)
+    assert found == {True, False}
 
 
 def test_perm_equivalent_rejects_mismatched_rank():

@@ -75,6 +75,107 @@ def test_spec_validation():
         GroupSpec((), "sc")
 
 
+# -- the lattice rule against its definition ---------------------------------
+
+DENOMINATORS = (2, 3, 4, 6, 8)
+
+
+def _coset_rule_agrees(factors, v) -> bool:
+    """GroupSpec refuses the cosets 0 and v by the coset rule, which it checks
+    before closure, iff the reference rule says v is no weight coset;
+    returns the reference rule."""
+    expect = oracles.is_weight_coset(factors, v)
+    try:
+        GroupSpec(factors, "cosets", [(0,) * len(v), v])
+    except ValueError as e:
+        refused = str(e).startswith("not a weight-lattice coset: ")
+        assert refused or str(e) == "cosets are not closed under addition", e
+    else:
+        refused = False
+    assert refused != expect, v
+    return expect
+
+
+@pytest.mark.parametrize("fr", all_types(3), ids=str)
+def test_spec_takes_exactly_the_weight_cosets(fr):
+    # every vector of denominator 2, 3, 4, 6 or 8 on a type of rank <= 3
+    found = {_coset_rule_agrees((fr,), tuple(Fraction(k, q) for k in nums))
+             for q in DENOMINATORS for nums in itertools.product(range(q), repeat=fr.rank)}
+    assert found == {True, False}
+
+
+def _weight_coset(factors, lam):
+    """The root-basis coordinates of a weight, factor by factor, mod 1."""
+    spec = GroupSpec(factors)
+    return tuple(x % 1 for fr, (a, b) in zip(factors, spec.slices())
+                 for x in root_basis_coords(build(fr), lam[a:b]))
+
+
+@pytest.mark.parametrize("text", ["D4", "E6", "E7", "A1xA2"])
+def test_spec_takes_sampled_weight_cosets(text):
+    # half the samples are the cosets of random weights, half random vectors
+    factors = GroupSpec.parse(text).factors
+    n = sum(fr.rank for fr in factors)
+    rng = random.Random(text)
+    found = set()
+    for k in range(200):
+        q = rng.choice(DENOMINATORS)
+        if k % 2:
+            v = _weight_coset(factors, [rng.randrange(q) for _ in range(n)])
+        else:
+            v = tuple(Fraction(rng.randrange(q), q) for _ in range(n))
+        found.add(_coset_rule_agrees(factors, v))
+    assert found == {True, False}
+
+
+def _generated(vectors):
+    """The least set of vectors mod 1 closed under addition that holds them."""
+    out = {tuple(x % 1 for x in v) for v in vectors}
+    while grown := {tuple((x + y) % 1 for x, y in zip(a, b)) for a in out for b in out} - out:
+        out |= grown
+    return out
+
+
+@pytest.mark.parametrize("text", ["A1xA1xA1", "A1xA3", "A2xA2", "D4", "A3xB2", "E6xA1"])
+def test_spec_closure_matches_fraction_closure(text):
+    # random subsets of the weight cosets, half of them closed by generation
+    factors = GroupSpec.parse(text).factors
+    blocks = [{_weight_coset((fr,), lam)
+               for lam in itertools.product(range(build(fr).cartan_det), repeat=fr.rank)}
+              for fr in factors]
+    cosets = sorted(tuple(itertools.chain(*parts)) for parts in itertools.product(*blocks))
+    zero = cosets[0]
+    rng = random.Random(text)
+    found = set()
+    for k in range(60):
+        subset = {zero, *rng.sample(cosets, rng.randint(1, 3))}
+        if k % 2:
+            subset = _generated(subset)
+        expect = oracles.closed_under_addition(subset)
+        try:
+            spec = GroupSpec(factors, "cosets", sorted(subset))
+        except ValueError as e:
+            assert (expect, str(e)) == (False, "cosets are not closed under addition")
+        else:
+            assert expect and set(spec.cosets) == subset
+        found.add(expect)
+    assert found == {True, False}
+
+
+def test_su3_code_group_and_its_faults():
+    # SU(3)^7 over the 27 words of a ternary [7, 3] code parses; one word
+    # dropped leaves a set that is not closed, and 1/2 in an A2 block is no coset
+    words = oracles.su3_code_words()
+    assert len(GroupSpec.parse(oracles.su3_code_group(words)).cosets) == 27
+    with pytest.raises(ValueError, match="^cosets are not closed under addition$"):
+        GroupSpec.parse(oracles.su3_code_group(words[:5] + words[6:]))
+    bad = words[5].replace("1/3,2/3", "1/2,1/2", 1)
+    v = tuple(Fraction(c) for c in bad.split(","))
+    with pytest.raises(ValueError) as err:
+        GroupSpec.parse(oracles.su3_code_group(words[:5] + [bad] + words[6:]))
+    assert str(err.value) == f"not a weight-lattice coset: {v}"
+
+
 DIM_CASES = [
     ("A1", (0,), 1),
     ("A1", (4,), 5),

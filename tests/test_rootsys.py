@@ -232,7 +232,7 @@ def test_rho_pairings(fr):
     system = build(fr)
     for i in range(system.num_positive):
         h = system.pair(i, (1,) * system.rank)
-        assert h == system.coroot_height(i) >= 1
+        assert h == sum(system.coroots[i]) >= 1
         assert (h == 1) == (oracles.positive_roots(system)[i] in oracles.simple_roots(system))
 
 
