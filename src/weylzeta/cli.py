@@ -4,7 +4,8 @@ A --cache hit works on the file's bytes: one sha256 pass over the body
 checks the trailer, only the header line is decoded and matched, byte
 scans in C check every row's grammar, and the cut at the bound is found
 by bisecting line offsets, so only the served rows are decoded and no
-table is parsed.
+table is parsed.  A known command's arguments are parsed by that command's
+own parser alone, and each group text once per process.
 A cache file is named from the group, its stem cut to 200 characters, and
 an 8-hex sha256 tag of the full name; the header check turns a collision
 into a miss.
@@ -66,6 +67,7 @@ def _parse_type(text: str) -> FamilyRank:
     return fr
 
 
+@functools.lru_cache(maxsize=64)  # GroupSpec is immutable; a ValueError is not kept
 def _parse_group(text: str) -> GroupSpec:
     # checked before parsing, which builds every factor to validate cosets
     for m in re.finditer(r"[A-G](\d+)", text.split(":", 1)[0]):
@@ -286,8 +288,9 @@ def _cmd_verify(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
-@functools.cache  # parse_args leaves the parser as it was
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # parse_args leaves the parsers as they were
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="weylzeta",
         description="Representation-degree spectra of compact semisimple groups.",
@@ -342,13 +345,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print one JSON object with each check's title, verdict and seconds")
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv as the top-level parser reads it, a known command by its own parser.
+
+    The top-level parser would scan the arguments and then hand them all to
+    the command's parser, which scans them again.  Only an unrecognized
+    argument reads differently: the error names the command's usage.
+    """
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -367,10 +367,11 @@ def _sieve(limit: int, N: int) -> bytearray:
         if N % p:  # q = 1 + kN is a multiple of p iff k = -1/N mod p
             k = -pow(N, -1, p) % p
             big[k::p] = bytearray([1]) * len(range(k, len(big), p))
-    big = memoryview(big)
+    del big[:k0]  # now big[k - k0] for q = 1 + kN
     for m in range(1, limit // (s + 1) + 1):
-        k1 = (limit // m - 1) // N
-        keep[m * (1 + k0 * N):m * (1 + k1 * N) + 1:m * N] = big[k0:k1 + 1]
+        k1 = (limit // m - 1) // N  # falls as m rises, so big is cut in place
+        del big[k1 - k0 + 1:]
+        keep[m * (1 + k0 * N):m * (1 + k1 * N) + 1:m * N] = big  # a bytearray, not copied
     for p in small:
         if p % N == 1:
             keep[p::p] = bytearray(limit // p)

@@ -15,6 +15,8 @@ from weylzeta.cli import (
     MAX_RANK,
     _build_parser,
     _cache_path,
+    _parse_args,
+    _parse_group,
     _trailer,
     _unsealed,
     main,
@@ -345,18 +347,168 @@ def test_parser_reused_across_calls(tmp_path, capsys):
         ("zeta", "--group", "A2:sc"),  # missing --max-dim: exit 2
         ("--help",),
         first,
+        (*first[:-2], "--bogus", "1"),  # unrecognized: exit 2 with zeta's usage
+        ("zeta", "-h"),
+        first,
     ]
     assert _build_parser() is _build_parser()
     reused = [run(capsys, *argv) for argv in calls]
-    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
-    assert reused[0][1] == reused[4][1] == ""
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 2, 0, 0]
+    assert reused[0][1] == reused[4][1] == reused[7][1] == ""
     assert target.read_text() == reused[1][1]
     assert reused[1][1].startswith("# weylzeta v1 group=A2:sc variant=zeta maxdim=30\n")
+    assert reused[5][2].startswith("usage: weylzeta zeta ")
+    assert reused[6][1].startswith("usage: weylzeta zeta ")
     fresh = []
     for argv in calls:
         _build_parser.cache_clear()
+        _parse_group.cache_clear()
         fresh.append(run(capsys, *argv))
     assert reused == fresh
+
+
+# -- a known command parsed by its own parser ------------------------------------
+
+# argv for every command, valid and broken, each read by the dispatch in
+# main and by the top-level parser alone
+DISPATCH_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--help", "zeta"],
+    ["bogus"],
+    ["bogus", "--group", "A1:sc"],
+    ["--group", "A1:sc", "zeta"],
+    ["info", "--type", "G2"],
+    ["info", "--ty", "G2"],
+    ["info"],
+    ["info", "-h"],
+    ["dims", "--type", "F4", "--weight", "1,0,0,0"],
+    ["dims", "--type", "F4"],
+    ["dims", "--type", "F4", "--type", "B4", "--weight", "1,0,0,0"],
+    ["dims", "--type", "F4", "--weight", "-1,0,0,0"],
+    ["zeta", "--group", "A1:sc", "--max-dim", "5"],
+    ["zeta", "--gr", "A1:sc", "--max", "5"],
+    ["zeta", "--group", "A1:sc", "--max-dim", "5", "--out", "t.tsv", "--cache", "c"],
+    ["zeta", "--group=A1:sc", "--max-dim=5"],
+    ["zeta", "--group", "A1:sc", "--group", "A2:sc", "--max-dim", "5"],
+    ["zeta", "--group", "A1:sc"],
+    ["zeta", "--group", "A1:sc", "--max-dim", "five"],
+    ["zeta", "--group", "A1:sc", "--max-dim", "10", "--bogus", "1"],
+    ["zeta", "--group", "A1:sc", "--max-dim", "10", "extra"],
+    ["zeta", "--group"],
+    ["zeta", "-h"],
+    ["zeta", "--help"],
+    ["zeta", "--group", "A1:sc", "-h"],
+    ["zeta"],
+    ["zeta-star", "--group", "A1:sc", "--max-dim", "64", "--cache", "c"],
+    ["zeta-star", "--max-dim", "64"],
+    ["zeta-star", "--gr", "A1:sc", "--max-dim", "64", "--bogus"],
+    ["zeta-star", "-h"],
+    ["weylpoly", "--type", "G2", "--mu", "1,0", "--nu=-2,0", "--eval", "2"],
+    ["weylpoly", "--type", "G2", "--mu=1,0", "--nu", "-2,0"],
+    ["weylpoly", "--type", "E7", "--ev", "2,3"],
+    ["weylpoly", "--type", "G2", "--eval", "2", "--eval", "3"],
+    ["weylpoly", "--eval", "2"],
+    ["weylpoly", "-h"],
+    ["efficiency", "--type", "E7", "--brute-force"],
+    ["efficiency", "--type", "E7", "--brute"],
+    ["efficiency", "--type", "E7", "--brute-force=yes"],
+    ["efficiency", "--brute-force"],
+    ["efficiency", "-h"],
+    ["compare", "--first", "A3", "--second", "D4"],
+    ["compare", "--fi", "A3", "--sec", "D4"],
+    ["compare", "--first", "A3"],
+    ["compare", "--first", "A3", "--second", "D4", "--third", "B2"],
+    ["compare", "-h"],
+    ["gassmann", "--max-degree", "100"],
+    ["gassmann", "--max", "100"],
+    ["gassmann", "--max-degree", "-5"],
+    ["gassmann", "--max-degree", "1e3"],
+    ["gassmann"],
+    ["gassmann", "-h"],
+    ["verify-paper"],
+    ["verify-paper", "--fast", "--json"],
+    ["verify-paper", "--fa", "--js"],
+    ["verify-paper", "--fast", "--fast"],
+    ["verify-paper", "--slow"],
+    ["verify-paper", "-h"],
+]
+
+
+def _read(capsys, parse, argv):
+    """(exit code or None, stdout, stderr, the Namespace's fields or None)."""
+    try:
+        fields, code = vars(parse(list(argv))), None
+    except SystemExit as exc:
+        fields, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, fields
+
+
+def test_dispatch_cases_cover_every_command():
+    _, commands = _build_parser()
+    assert set(commands) <= {argv[0] for argv in DISPATCH_CASES if argv}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=" ".join)
+def test_dispatch_matches_top_level_parser(capsys, argv):
+    parser, commands = _build_parser()
+    code, out, err, fields = _read(capsys, _parse_args, argv)
+    o_code, o_out, o_err, o_fields = _read(capsys, parser.parse_args, argv)
+    assert (code, out, fields) == (o_code, o_out, o_fields)
+    if fields is None:
+        assert code == 2 or (code == 0 and out.startswith("usage: ") and not err)
+    unrecognized = o_err.partition(": error: ")[2]
+    if code and unrecognized.startswith("unrecognized arguments: ") and argv[0] in commands:
+        # the one message that differs: the command's usage, not the top level's
+        assert o_err.endswith(f"\nweylzeta: error: {unrecognized}")
+        assert err.startswith(f"usage: weylzeta {argv[0]} ")
+        assert err.endswith(f"\nweylzeta {argv[0]}: error: {unrecognized}")
+    else:
+        assert err == o_err
+    if fields is not None:
+        assert code is None and (out, err) == ("", "")
+        assert fields["command"] == argv[0] and callable(fields["func"])
+
+
+# -- each group text parsed once per process ---------------------------------------
+
+
+def test_bad_group_fails_alike_every_time(capsys):
+    size = _parse_group.cache_info().currsize
+    errors = []
+    for group in ("A1:cosets[1/2]", "A1:cosets[1/2]", "A1xB7:bogus", "A1xB7:bogus"):
+        code, out, err = run(capsys, "zeta", "--group", group, "--max-dim", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        errors.append(err)
+    assert errors[0] == errors[1] != errors[2] == errors[3]
+    assert _parse_group.cache_info().currsize == size  # a ValueError is not kept
+
+
+def test_rank_cap_after_a_valid_group(capsys):
+    big = f"A{MAX_RANK + 1}"
+    for group in (f"A{MAX_RANK}:sc", f"{big}:sc", f"A1x{big}:adjoint", f"{big}:sc"):
+        code, out, err = run(capsys, "zeta", "--group", group, "--max-dim", "3")
+        if big in group:
+            assert (code, out) == (2, "")
+            assert f"limit of {MAX_RANK}" in err
+        else:
+            assert (code, err) == (0, "")
+
+
+def test_group_memo_is_bounded(capsys):
+    key = "zeta --group A1xA1:cosets[0,0;1/2,1/2] --max-dim 1000"
+    runs = [key.split()]
+    runs += [["zeta", "--group", "x".join(["A1"] * k) + ":sc", "--max-dim", "2"]
+             for k in range(1, 71)]
+    runs.append(key.split())
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _REFERENCE[key]
+    assert _parse_group.cache_info().currsize == 64
 
 
 def test_cache_env_default(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -759,6 +760,20 @@ def test_sieve_around_the_first_square(N, k):
             if isprime(p):
                 expect[p::p] = bytes(limit // p)
         assert _sieve(limit, N) == expect, limit
+
+
+def test_sieve_holds_no_copy_of_big():
+    # keep (limit + 1 bytes) and big (limit / N bytes) are all the sieve needs;
+    # a copy of big's slice for the first m would add another limit / N
+    limit, N = 2 * 10**6, 2
+    tracemalloc.start()
+    try:
+        keep = _sieve(limit, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    big = (limit - 1) // N + 1
+    assert peak < len(keep) + 1.6 * big, peak
 
 
 @pytest.mark.parametrize("N", [2, 6, 24, 720])
