@@ -399,8 +399,8 @@ Series = list[int] | dict[int, int]
 # slots), checked before it is built.  A list costs about 30 bytes a slot and
 # a walk about 115 bytes a weight, rendering included (A1:sc to 4*10^6:
 # 110 MiB; A2:sc to 10^9: 434 MiB), so an admitted job stays under about
-# 600 MiB.  A strip sieve costs about 2 bytes a slot, a1_series' copy of it
-# included (zeta-star A1:sc to 3*10^7: 67 MiB).
+# 600 MiB.  A strip sieve costs about 2 bytes a slot, a1_series' slice of it
+# included (zeta-star A1:sc to 3*10^7, one class sliced whole: 67 MiB).
 MAX_ENTRIES = 5 * 10**6
 MAX_SIEVE = 8 * MAX_ENTRIES
 
@@ -443,8 +443,11 @@ class Counts(Mapping):
     __slots__ = ("series",)
 
     def __init__(self, series: Series):
-        self.series = (series if isinstance(series, list)
-                       else {d: c for d, c in sorted(series.items()) if c})
+        if isinstance(series, list):
+            self.series = series
+        else:  # the nonzero counts' degrees, sorted, then their counts
+            ks = sorted(compress(series, series.values()))
+            self.series = dict(zip(ks, map(series.__getitem__, ks)))
 
     def __getitem__(self, d):
         s = self.series
@@ -464,7 +467,11 @@ class Counts(Mapping):
 
     def __eq__(self, other):
         if isinstance(other, Counts):
-            theirs = _terms(other.series)
+            a, b = self.series, other.series
+            if isinstance(a, list) and isinstance(b, list):  # slot by slot in C
+                n = min(len(a), len(b))
+                return a[:n] == b[:n] and not any(a[n:]) and not any(b[n:])
+            theirs = _terms(b)
         elif isinstance(other, Mapping):
             theirs = sorted(other.items())
         else:
@@ -490,7 +497,7 @@ class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
     _HEADER = re.compile(
         r"^#\s*weylzeta v1 group=(\S+) variant=(zeta|zeta_star) maxdim=(\d+)\s*$"
     )
-    _CHUNK = 4096  # rows joined into one string at a time by to_text
+    _CHUNK = 4096  # rows formatted into one string at a time by to_text
 
     def __new__(cls, group: str, variant: str, bound: int, counts):
         if not isinstance(counts, Counts):
@@ -503,14 +510,21 @@ class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
         return f"# weylzeta v1 group={group} variant={variant} maxdim={bound}\n"
 
     def to_text(self) -> str:
-        """The header, then a row per nonzero count by dimension, joined a
-        chunk at a time so that no string per row outlives its chunk."""
+        """The header, then a row per nonzero count by dimension.  Up to
+        _CHUNK dimensions at a time are interleaved with their counts and
+        formatted by one %, so no string is made per row; the slice
+        assignment needs as many counts as dimensions, so a misaligned
+        series raises instead of printing shifted rows."""
         s = self.counts.series
-        values = compress(s, s) if isinstance(s, list) else s.values()
-        rows = map("{}\t{}\n".format, self.counts, values)
+        values = compress(s, s) if isinstance(s, list) else iter(s.values())
+        dims = iter(self.counts)
         chunks = [self.header(self.group, self.variant, self.bound)]
-        while chunk := "".join(islice(rows, self._CHUNK)):
-            chunks.append(chunk)
+        while block := list(islice(dims, self._CHUNK)):
+            n = len(block)
+            flat = block * 2
+            flat[1::2] = islice(values, n)
+            flat[::2] = block
+            chunks.append("%d\t%d\n" * n % tuple(flat))
         return "".join(chunks)
 
     @classmethod
@@ -751,6 +765,7 @@ def a1_series(bound: int, m: int, keep=None) -> list[Series]:
         else:
             _admit(terms)
             s = dict.fromkeys(compress(ts, flags), 1)
+        del flags  # before the next class's slice is taken
         series.append(s)
     return series
 

@@ -6,7 +6,7 @@ test, the dense modular rank certificate, the Fraction-vector closure
 test, the weight-coset rule (C^T v integral) and the Fraction closure of
 coset vectors, the GF(2) elimination for spanning the dual of F_2^3, the
 truncation of a parsed degree table that cache hits are compared
-against, the nonzero terms of a series in either form as a dict, the
+against, a table's text formatted row by row, the nonzero terms of a series in either form as a dict, the
 Dirichlet product and power by their definitions, Weyl's
 dimension formula over ambient Fraction vectors and over one dot product
 per coroot, those vectors themselves (the package keeps only integer
@@ -324,6 +324,15 @@ def truncated(table: DegreeTable, bound: int) -> DegreeTable:
         table.group, table.variant, bound,
         {d: c for d, c in table.counts.items() if d <= bound},
     )
+
+
+def to_text(table: DegreeTable) -> str:
+    """The table's text with one str.format call per row, as it was printed
+    before rows were formatted a block at a time."""
+    s = table.counts.series
+    values = compress(s, s) if isinstance(s, list) else s.values()
+    rows = map("{}\t{}\n".format, table.counts, values)
+    return table.header(table.group, table.variant, table.bound) + "".join(rows)
 
 
 def as_dict(series):

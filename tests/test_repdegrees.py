@@ -6,9 +6,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 from sympy import factorint, isprime, primefactors, primerange
 
 from weylzeta import repdegrees
+from weylzeta.gassmann import DEFAULT_TRACE, build_sign_hom, build_trace, quotient_zeta
 from weylzeta.repdegrees import (
     DegreeTable,
     FamilyRank,
@@ -776,6 +778,21 @@ def test_sieve_holds_no_copy_of_big():
     assert peak < len(keep) + 1.6 * big, peak
 
 
+def test_a1_series_holds_one_class_slice():
+    # each class's slice of keep (limit / m bytes) is dropped before the next
+    # one is taken; holding two at once would need about len(keep)
+    limit = 5 * 10**5
+    keep = _sieve(limit, 2)
+    tracemalloc.start()
+    try:
+        series = a1_series(limit, 2, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [as_dict(s) for s in series] == [{1: 1}, {2**k: 1 for k in range(1, 19)}]
+    assert peak < 0.6 * len(keep), peak
+
+
 @pytest.mark.parametrize("N", [2, 6, 24, 720])
 def test_smooth_numbers(N):
     # the Euler check's n all of whose primes are = 1 mod N, by trial division
@@ -902,6 +919,139 @@ def test_counts_read_like_a_dict():
     assert (3 in dense, 4 in dense, 10 in dense, 0 in dense) == (True, False, False, False)
     assert dense[9] == 1 and dense.get(4, 0) == 0 and dense != {1: 1}
     assert list(sparse) == sorted(sparse) and sparse[1] == 1 and 248 in sparse
+
+
+# -- rendering and comparing tables ----------------------------------------
+
+ROWS = [0, 1, 4095, 4096, 4097, 8193]  # either side of to_text's 4096-row blocks
+
+
+def _same_text(got, want):
+    """got == want, failing on the first line that differs: pytest's own
+    diff of two long strings would take minutes."""
+    a, b = got.splitlines(True), want.splitlines(True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    assert (i, len(a), a[i:i + 1]) == (i, len(b), b[i:i + 1])
+
+
+def _rendered_alike(series, bound=None):
+    table = DegreeTable("A1:sc", "zeta", bound or 1, series)
+    text = table.to_text()
+    _same_text(text, oracles.to_text(table))
+    return text
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_to_text_matches_row_by_row(rows):
+    # a list with zeros between its counts, and a dict of the same terms
+    rng = random.Random(rows)
+    dims = sorted(rng.sample(range(1, 3 * rows + 2), rows))
+    counts = [rng.choice([1, 2, 7, 10**6, 2**63, 3**90]) for _ in dims]
+    dense = [0] * (dims[-1] + 1 if dims else 5)
+    for d, c in zip(dims, counts):
+        dense[d] = c
+    text = _rendered_alike(dense, len(dense) - 1)
+    assert text.count("\n") == rows + 1
+    _same_text(_rendered_alike(dict(zip(dims, counts)), len(dense) - 1), text)
+
+
+def test_to_text_of_dicts_drops_zeros_and_sorts():
+    rng = random.Random(5)
+    for rows in ROWS:
+        dims = rng.sample(range(1, 10 * rows + 2), rows)  # unsorted
+        raw = {d: rng.choice([0, 0, 1, 3, 2**64 + 1]) for d in dims}
+        text = _rendered_alike(raw)
+        rows_of = "".join(f"{d}\t{c}\n" for d, c in sorted(raw.items()) if c)
+        _same_text(text.split("\n", 1)[1], rows_of)
+
+
+def test_to_text_of_counts_past_2_63():
+    # tau_128 (the default quotient, a list) and tau_1024 (an odd A1 power)
+    table = quotient_zeta(build_sign_hom(build_trace(DEFAULT_TRACE)), 3 * 10**5)
+    assert isinstance(table.counts.series, list) and len(table.counts) > 8193
+    assert max(table.counts.values()) >= 2**55
+    _same_text(table.to_text(), oracles.to_text(table))
+    power = _dirichlet_pow(a1_series(20000, 2)[0], 1024, 20000)
+    assert sum(c >= 2**63 for c in power) > 5
+    _rendered_alike(power, 20000)
+    _rendered_alike(as_dict(power), 20000)
+
+
+def test_to_text_refuses_a_misaligned_series():
+    # one dimension more than counts: an error, not shifted rows
+
+    class OneMore(repdegrees.Counts):
+        __slots__ = ()
+
+        def __iter__(self):
+            return itertools.chain(super().__iter__(), [10**9])
+
+    for n in (1, 4095, 4096, 4097):
+        with pytest.raises(ValueError):
+            DegreeTable("A1:sc", "zeta", 1, OneMore(dict.fromkeys(range(1, n + 1), 1))).to_text()
+
+
+@given(st.one_of(
+    st.lists(st.integers(0, 2**70), max_size=300),
+    st.dictionaries(st.integers(1, 10**12), st.integers(0, 2**70), max_size=300)))
+def test_to_text_matches_row_by_row_random(series):
+    _rendered_alike(series)
+
+
+def _equal_by_terms(a, b):
+    """Counts.__eq__ by its definition: equal nonzero terms in order."""
+    theirs = (repdegrees._terms(b.series) if isinstance(b, repdegrees.Counts)
+              else sorted(b.items()))
+    return list(repdegrees._terms(a.series)) == list(theirs)
+
+
+def test_counts_equality_matches_terms():
+    Counts = repdegrees.Counts
+    short = [0, 1, 0, 2]
+    cases = [
+        (short, short + [0, 0]),           # unequal lengths, zero tail
+        (short + [0, 0], short),
+        (short, short + [0, 3]),           # a nonzero slot past the shorter end
+        (short + [0, 3], short),
+        (short, [0, 1, 0, 5]),
+        ([4] + short[1:], short),          # slot 0 counts too
+        ([], [0, 0]),
+        ([], [0, 1]),
+        (short, {3: 2, 1: 1}),             # a list against a dict
+        (short, {3: 2, 1: 1, 7: 0}),
+        (short, {3: 2}),
+        ({1: 1, 3: 2}, short + [0]),
+    ]
+    for a, b in cases:
+        got = Counts(a) == Counts(b)
+        assert got == _equal_by_terms(Counts(a), Counts(b)) == (as_dict(a) == as_dict(b)), (a, b)
+        assert (Counts(a) != Counts(b)) is not got
+    same = Counts(short * 5000)
+    assert same == same and same == Counts(same.series)
+    # a plain Mapping: its items as given, zeros included
+    for other in ({1: 1, 3: 2}, {3: 2, 1: 1}, {1: 1, 3: 2, 4: 0}, {1: 1}, {}):
+        assert (Counts(short) == other) == _equal_by_terms(Counts(short), other), other
+    assert Counts(short) == collections.OrderedDict([(3, 2), (1, 1)])
+    assert Counts(short) != [0, 1, 0, 2] and Counts(short).__eq__(5) is NotImplemented
+
+
+@given(st.lists(st.integers(0, 3), max_size=40), st.lists(st.integers(0, 3), max_size=40),
+       st.booleans())
+def test_counts_equality_matches_terms_random(a, b, as_mapping):
+    Counts = repdegrees.Counts
+    for x, y in ((a, b), (a, a + [0] * len(b)), (a + b, a)):
+        other = Counts(as_dict(y) if as_mapping else y)
+        assert (Counts(x) == other) == _equal_by_terms(Counts(x), other)
+
+
+def test_counts_of_a_dict_is_sorted_without_zeros():
+    rng = random.Random(3)
+    for size in (0, 1, 10, 5000):
+        raw = {rng.randrange(1, 10**6): rng.choice([0, 1, 2, 2**70]) for _ in range(size)}
+        s = repdegrees.Counts(raw).series
+        assert list(s.items()) == sorted((d, c) for d, c in raw.items() if c)
+    inner = repdegrees.Counts({5: 1, 2: 0, 1: 3})
+    assert repdegrees.Counts(inner).series == {1: 3, 5: 1}
 
 
 # -- Dirichlet powers: prime by prime and square-and-multiply ---------------
