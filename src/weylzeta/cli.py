@@ -4,8 +4,9 @@ A --cache hit works on the file's bytes: one sha256 pass over the body
 checks the trailer, only the header line is decoded and matched, byte
 scans in C check every row's grammar, and the cut at the bound is found
 by bisecting line offsets, so only the served rows are decoded and no
-table is parsed.  A known command's arguments are parsed by that command's
-own parser alone, and each group text once per process.
+table is parsed.  A well-formed command line is read from the option table
+COMMANDS without argparse, which is imported, and its parsers built, only
+for help and errors; each group text is parsed once per process.
 A cache file is named from the group, its stem cut to 200 characters, and
 an 8-hex sha256 tag of the full name; the header check turns a collision
 into a miss.
@@ -18,13 +19,13 @@ such as an --out path in a missing directory.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .efficiency import compare as compare_efficiency
 from .efficiency import eff_bruteforce, eff_formula
@@ -198,7 +199,7 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-def _cmd_zeta(args, variant: str) -> int:
+def _print_table(args, variant: str) -> int:
     spec = _parse_group(args.group)
     if args.max_dim < 1:
         raise ValueError("--max-dim must be positive")
@@ -208,6 +209,14 @@ def _cmd_zeta(args, variant: str) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _cmd_zeta(args) -> int:
+    return _print_table(args, "zeta")
+
+
+def _cmd_zeta_star(args) -> int:
+    return _print_table(args, "zeta_star")
 
 
 def _cmd_weylpoly(args) -> int:
@@ -287,78 +296,136 @@ def _cmd_verify(args) -> int:
 
 # -- wiring ----------------------------------------------------------------
 
+_TABLE_OPTIONS = (
+    ("--group", str, True, "SPEC", None),
+    ("--max-dim", int, True, "D", None),
+    ("--out", str, False, "FILE", None),
+    ("--cache", str, False, "DIR", f"table cache directory (default: ${CACHE_ENV})"),
+)
+# command: (help, handler, options), each option (flag, kind, required,
+# metavar, help) with kind str, int or bool (store_true), in --help order
+COMMANDS = {
+    "info": ("size, Cartan matrix, and efficiency of a type", _cmd_info, (
+        ("--type", str, True, "F<n>", None),
+    )),
+    "dims": ("dimension of one irreducible representation", _cmd_dims, (
+        ("--type", str, True, "F<n>", None),
+        ("--weight", str, True, "a1,..,an", None),
+    )),
+    "zeta": ("degree counts (zeta) up to a bound", _cmd_zeta, _TABLE_OPTIONS),
+    "zeta-star": ("degree counts (zeta_star) up to a bound", _cmd_zeta_star, _TABLE_OPTIONS),
+    "weylpoly": ("dimension polynomial of a weight pair", _cmd_weylpoly, (
+        ("--type", str, True, "F<n>", None),
+        ("--mu", str, False, "a1,..,an", "with --nu, replaces the built-in pair"),
+        ("--nu", str, False, "a1,..,an",
+         "a leading minus needs the = form: --nu=-2,0, --mu=-1,0"),
+        ("--eval", str, False, "n1,n2,..", None),
+    )),
+    "efficiency": ("efficiency and level of a type", _cmd_efficiency, (
+        ("--type", str, True, "F<n>", None),
+        ("--brute-force", bool, False, None, None),
+    )),
+    "compare": ("order two types by efficiency data", _cmd_compare, (
+        ("--first", str, True, "F<n>", None),
+        ("--second", str, True, "F<n>", None),
+    )),
+    "gassmann": ("equal-spectrum quotient pair report", _cmd_gassmann, (
+        ("--max-degree", int, True, "D", None),
+    )),
+    "verify-paper": ("regression ledger of reference values", _cmd_verify, (
+        ("--fast", bool, False, None,
+         "skip the F4 efficiency search and the prime-power scan"),
+        ("--json", bool, False, None,
+         "print one JSON object with each check's title, verdict and seconds"),
+    )),
+}
+# command: (handler, {flag: (dest, kind)}, the optional dests' defaults),
+# each dest named as argparse names it
+_FLAGS = {
+    name: (func,
+           {flag: (flag[2:].replace("-", "_"), kind) for flag, kind, *_ in options},
+           {flag[2:].replace("-", "_"): False if kind is bool else None
+            for flag, kind, required, *_ in options if not required})
+    for name, (_, func, options) in COMMANDS.items()
+}
+
 
 @functools.cache  # parse_args leaves the parsers as they were
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser, by name."""
+def _build_parser():
+    """The top-level ArgumentParser and each command's own, by name, from COMMANDS."""
+    import argparse  # only help and errors need it, so it stays off the start-up path
+
     parser = argparse.ArgumentParser(
         prog="weylzeta",
         description="Representation-degree spectra of compact semisimple groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="size, Cartan matrix, and efficiency of a type")
-    p.add_argument("--type", required=True, metavar="F<n>")
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("dims", help="dimension of one irreducible representation")
-    p.add_argument("--type", required=True, metavar="F<n>")
-    p.add_argument("--weight", required=True, metavar="a1,..,an")
-    p.set_defaults(func=_cmd_dims)
-
-    for name, variant in (("zeta", "zeta"), ("zeta-star", "zeta_star")):
-        p = sub.add_parser(name, help=f"degree counts ({variant}) up to a bound")
-        p.add_argument("--group", required=True, metavar="SPEC")
-        p.add_argument("--max-dim", required=True, type=int, metavar="D")
-        p.add_argument("--out", metavar="FILE")
-        p.add_argument("--cache", metavar="DIR",
-                       help=f"table cache directory (default: ${CACHE_ENV})")
-        p.set_defaults(func=lambda a, v=variant: _cmd_zeta(a, v))
-
-    p = sub.add_parser("weylpoly", help="dimension polynomial of a weight pair")
-    p.add_argument("--type", required=True, metavar="F<n>")
-    p.add_argument("--mu", metavar="a1,..,an", help="with --nu, replaces the built-in pair")
-    p.add_argument("--nu", metavar="a1,..,an",
-                   help="a leading minus needs the = form: --nu=-2,0, --mu=-1,0")
-    p.add_argument("--eval", metavar="n1,n2,..")
-    p.set_defaults(func=_cmd_weylpoly)
-
-    p = sub.add_parser("efficiency", help="efficiency and level of a type")
-    p.add_argument("--type", required=True, metavar="F<n>")
-    p.add_argument("--brute-force", action="store_true")
-    p.set_defaults(func=_cmd_efficiency)
-
-    p = sub.add_parser("compare", help="order two types by efficiency data")
-    p.add_argument("--first", required=True, metavar="F<n>")
-    p.add_argument("--second", required=True, metavar="F<n>")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("gassmann", help="equal-spectrum quotient pair report")
-    p.add_argument("--max-degree", required=True, type=int, metavar="D")
-    p.set_defaults(func=_cmd_gassmann)
-
-    p = sub.add_parser("verify-paper",
-                       help="regression ledger of reference values")
-    p.add_argument("--fast", action="store_true",
-                   help="skip the F4 efficiency search and the prime-power scan")
-    p.add_argument("--json", action="store_true",
-                   help="print one JSON object with each check's title, verdict and seconds")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kind, required, metavar, option_help in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=option_help)
+            else:  # type None is argparse's default: the text as given
+                p.add_argument(flag, required=required, type=int if kind is int else None,
+                               metavar=metavar, help=option_help)
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv as the top-level parser reads it, a known command by its own parser.
+def _quick(argv: list[str]) -> SimpleNamespace | None:
+    """argv read from COMMANDS without argparse, or None to leave it to argparse.
 
-    The top-level parser would scan the arguments and then hand them all to
-    the command's parser, which scans them again.  Only an unrecognized
-    argument reads differently: the error names the command's usage.
+    Read here: a known command, then only its exact long flags, each but a
+    store_true one followed by a value that does not begin with "-", every
+    int value passing int(), every required option given.  The fields are
+    those argparse gives: command, every dest (a repeated option's last
+    value, an absent one's None or False) and func.  Anything else, such as
+    an abbreviation, an = form, -h, an unknown token, a missing value or a
+    bad int, is argparse's to read, with its messages and exit codes.
     """
+    if not argv or argv[0] not in _FLAGS:
+        return None
+    func, flags, defaults = _FLAGS[argv[0]]
+    fields = dict(defaults)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in flags:
+            return None
+        dest, kind = flags[token]
+        if kind is bool:
+            fields[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is left to argparse too
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        fields[dest] = value
+    if len(fields) < len(flags):  # one flag per dest: a required one is missing
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **fields)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv as the top-level parser reads it.
+
+    A well-formed command line is read from COMMANDS by _quick.  Any other
+    goes to argparse: a known command's to that command's own parser alone,
+    the rest to the top-level parser.  The top-level parser would scan the
+    arguments and then hand them all to the command's parser, which scans
+    them again.  Only an unrecognized argument reads differently: the error
+    names the command's usage.
+    """
+    args = _quick(argv)
+    if args is not None:
+        return args
     parser, commands = _build_parser()
     if argv and argv[0] in commands:
-        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-    return parser.parse_args(argv)
+        return commands[argv[0]].parse_args(argv[1:], SimpleNamespace(command=argv[0]))
+    return parser.parse_args(argv, SimpleNamespace())
 
 
 def main(argv=None) -> int:

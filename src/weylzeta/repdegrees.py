@@ -756,15 +756,23 @@ def a1_series(bound: int, m: int, keep=None) -> list[Series]:
     series = []
     for j in range(m):
         ts = range(j + 1, bound + 1, m)
-        flags = b"\1" * len(ts) if keep is None else keep[j + 1::m]
+        if keep is None:
+            flags = b"\1" * len(ts)
+        elif m == 1:  # keep[0] is 0, so keep itself flags every t, uncopied
+            ts, flags = range(bound + 1), keep
+        else:
+            flags = keep[j + 1::m]
         terms = flags.count(1)
         if _dense(terms, bound):
             _admit(bound + 1)
             s = [0] * (bound + 1)
-            s[j + 1::m] = flags
+            s[ts.start::m] = flags
         else:
             _admit(terms)
-            s = dict.fromkeys(compress(ts, flags), 1)
+            s, i = {}, flags.find(1)
+            while i >= 0:  # under bound / 64 finds in C, not a pass over every t
+                s[ts[i]] = 1
+                i = flags.find(1, i + 1)
         del flags  # before the next class's slice is taken
         series.append(s)
     return series

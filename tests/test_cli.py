@@ -1,22 +1,28 @@
 """End-to-end runs of the command line through main()."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylzeta import cli, repdegrees, rootsys
 from weylzeta._linalg import echelon
 from weylzeta.cli import (
     CACHE_ENV,
+    COMMANDS,
     MAX_RANK,
     _build_parser,
     _cache_path,
     _parse_args,
     _parse_group,
+    _quick,
     _trailer,
     _unsealed,
     main,
@@ -387,6 +393,7 @@ DISPATCH_CASES = [
     ["dims", "--type", "F4"],
     ["dims", "--type", "F4", "--type", "B4", "--weight", "1,0,0,0"],
     ["dims", "--type", "F4", "--weight", "-1,0,0,0"],
+    ["dims", "--weight", "1,0,0,0", "--type", "F4"],
     ["zeta", "--group", "A1:sc", "--max-dim", "5"],
     ["zeta", "--gr", "A1:sc", "--max", "5"],
     ["zeta", "--group", "A1:sc", "--max-dim", "5", "--out", "t.tsv", "--cache", "c"],
@@ -396,6 +403,11 @@ DISPATCH_CASES = [
     ["zeta", "--group", "A1:sc", "--max-dim", "five"],
     ["zeta", "--group", "A1:sc", "--max-dim", "10", "--bogus", "1"],
     ["zeta", "--group", "A1:sc", "--max-dim", "10", "extra"],
+    ["zeta", "--max-dim", "5", "--cache", "c", "--group", "A1:sc"],
+    ["zeta", "--group", "", "--max-dim", "5"],
+    ["zeta", "--group", "A1:sc", "--max-dim", " 7 "],
+    ["zeta", "--group", "A1:sc", "--max-dim", "1_000"],
+    ["zeta", "--group", "A1:sc", "--max-dim", "--out"],
     ["zeta", "--group"],
     ["zeta", "-h"],
     ["zeta", "--help"],
@@ -431,31 +443,28 @@ DISPATCH_CASES = [
     ["verify-paper", "--fast", "--json"],
     ["verify-paper", "--fa", "--js"],
     ["verify-paper", "--fast", "--fast"],
+    ["verify-paper", "--json", "--json"],
     ["verify-paper", "--slow"],
     ["verify-paper", "-h"],
 ]
 
 
-def _read(capsys, parse, argv):
+def _read(parse, argv):
     """(exit code or None, stdout, stderr, the Namespace's fields or None)."""
-    try:
-        fields, code = vars(parse(list(argv))), None
-    except SystemExit as exc:
-        fields, code = None, exc.code
-    out, err = capsys.readouterr()
-    return code, out, err, fields
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            fields, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), fields
 
 
-def test_dispatch_cases_cover_every_command():
-    _, commands = _build_parser()
-    assert set(commands) <= {argv[0] for argv in DISPATCH_CASES if argv}
-
-
-@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=" ".join)
-def test_dispatch_matches_top_level_parser(capsys, argv):
+def _check_dispatch(argv):
+    """_parse_args reads argv as the top-level parser does."""
     parser, commands = _build_parser()
-    code, out, err, fields = _read(capsys, _parse_args, argv)
-    o_code, o_out, o_err, o_fields = _read(capsys, parser.parse_args, argv)
+    code, out, err, fields = _read(_parse_args, argv)
+    o_code, o_out, o_err, o_fields = _read(parser.parse_args, argv)
     assert (code, out, fields) == (o_code, o_out, o_fields)
     if fields is None:
         assert code == 2 or (code == 0 and out.startswith("usage: ") and not err)
@@ -470,6 +479,90 @@ def test_dispatch_matches_top_level_parser(capsys, argv):
     if fields is not None:
         assert code is None and (out, err) == ("", "")
         assert fields["command"] == argv[0] and callable(fields["func"])
+
+
+def test_dispatch_cases_cover_every_command():
+    _, commands = _build_parser()
+    assert set(commands) <= {argv[0] for argv in DISPATCH_CASES if argv}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=" ".join)
+def test_dispatch_matches_top_level_parser(argv):
+    _check_dispatch(argv)
+
+
+# the tokens a command line is drawn from: each flag exact, cut short or in
+# its = form, -h, --, and values argparse reads in different ways
+_VALUES = ["5", " 7 ", "1_000", "-5", "five", "", "A1:sc", "-2,0"]
+_READ = {int: ["5", " 7 ", "1_000"], str: ["", "five", "A1:sc"]}  # values _quick takes
+
+
+@st.composite
+def _command_lines(draw):
+    name = draw(st.sampled_from(list(COMMANDS)))
+    flags = [flag for flag, *_ in COMMANDS[name][2]]
+    flag, value = st.sampled_from(flags), st.sampled_from(_VALUES)
+    pair = st.tuples(flag, value)  # most often a flag and a value, as written
+    item = st.one_of(
+        pair, pair, pair, st.tuples(flag),
+        st.builds(lambda f, k, v: (f[:k], v), flag, st.integers(3, 8), value),
+        st.builds(lambda f, v: (f"{f}={v}",), flag, value),
+        st.tuples(st.sampled_from(["-h", "--", "--bogus", *_VALUES])),
+    )
+    parts = draw(st.lists(item, max_size=4))
+    if draw(st.booleans()):  # every required option, with a value that reads
+        parts += [(flag, draw(st.sampled_from(_READ[kind])))
+                  for flag, kind, required, *_ in COMMANDS[name][2] if required]
+    return [name, *(token for part in draw(st.permutations(parts)) for token in part)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines())
+def test_quick_reads_as_the_command_parser_does(argv):
+    # whatever _quick accepts, the command's own parser reads alike; anything
+    # else goes to argparse, which reads as the top-level parser does
+    args = _quick(argv)
+    if args is not None:
+        _, commands = _build_parser()
+        expect = commands[argv[0]].parse_args(argv[1:], SimpleNamespace(command=argv[0]))
+        assert vars(args) == vars(expect)
+    _check_dispatch(argv)
+
+
+def test_quick_reads_well_formed_lines_only():
+    # an exact, complete command line is read without argparse; the rest is not
+    read = [["zeta", "--max-dim", "5", "--group", "A1:sc", "--max-dim", " 7 "],
+            ["verify-paper", "--json", "--json"], ["verify-paper"],
+            ["efficiency", "--brute-force", "--type", "E6"]]
+    assert [vars(_quick(argv)) for argv in read] == [
+        {"command": "zeta", "func": cli._cmd_zeta, "group": "A1:sc", "max_dim": 7,
+         "out": None, "cache": None},
+        {"command": "verify-paper", "func": cli._cmd_verify, "fast": False, "json": True},
+        {"command": "verify-paper", "func": cli._cmd_verify, "fast": False, "json": False},
+        {"command": "efficiency", "func": cli._cmd_efficiency, "type": "E6",
+         "brute_force": True}]
+    left = [[], ["-h"], ["bogus"], ["zeta"], ["zeta", "--group", "A1:sc"], ["verify-paper", "-h"]]
+    left += [["zeta", "--group", "A1:sc", *tail] for tail in (
+        ["--max-dim=5"], ["--max", "5"], ["--max-dim", "-5"], ["--max-dim", "five"],
+        ["--max-dim"], ["--max-dim", "5", "--"], ["--max-dim", "5", "x"])]
+    assert [_quick(argv) for argv in left] == [None] * len(left)
+
+
+def test_help_lists_every_command_and_option(capsys):
+    # read with its whitespace folded, so argparse's line wrapping on any
+    # version or terminal width does not matter
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: weylzeta ")
+    text = " ".join(out.split())
+    for name, (help_text, _, _) in COMMANDS.items():
+        assert f" {name} {help_text} " in f"{text} "
+    for name, (_, _, options) in COMMANDS.items():
+        code, out, err = run(capsys, name, "-h")
+        assert (code, err) == (0, "") and out.startswith(f"usage: weylzeta {name} ")
+        text = " ".join(out.split())
+        for flag, _, _, metavar, help_text in options:
+            shown = " ".join(filter(None, [flag, metavar, help_text]))
+            assert f" {shown} " in f"{text} ", shown
 
 
 # -- each group text parsed once per process ---------------------------------------

@@ -1,8 +1,9 @@
 """The record types: repr, equality, hashing, immutability and order.
 
 They are namedtuples, so importing the command line loads neither
-dataclasses (with inspect) nor typing; the guard starts an interpreter
-without site, which would preload modules of its own.
+dataclasses (with inspect) nor typing; nor does it load argparse, which a
+well-formed command line does not need either.  The guards start an
+interpreter without site, which would preload modules of its own.
 """
 
 import subprocess
@@ -100,3 +101,22 @@ def test_cli_import_loads_neither_dataclasses_nor_typing():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_well_formed_command_line_loads_no_argparse():
+    # argparse (with gettext) is imported for help and errors only
+    program = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import weylzeta.cli as cli\n"
+               "def held():\n"
+               "    return sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+               "seen = [held()]\n"
+               "seen.append((cli.main(['zeta', '--group', 'A1:sc', '--max-dim', '5']), held()))\n"
+               "seen.append((cli.main(['zeta', '-h']), held()))\n"
+               "print(seen, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", program],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[[], (0, []), (0, ['argparse', 'gettext'])]\n"
+    table, usage, _ = proc.stdout.partition("usage: weylzeta zeta ")
+    assert table == "# weylzeta v1 group=A1:sc variant=zeta maxdim=5\n" + "".join(
+        f"{d}\t1\n" for d in range(1, 6))
+    assert usage

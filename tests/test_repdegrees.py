@@ -793,6 +793,36 @@ def test_a1_series_holds_one_class_slice():
     assert peak < 0.6 * len(keep), peak
 
 
+def test_a1_series_reads_one_class_from_keep_itself():
+    # with one class keep flags every t itself (keep[0] is 0); the slice
+    # keep[1:] would add a copy of len(keep) bytes
+    limit = 10**7
+    keep = _sieve(limit, 2)
+    tracemalloc.start()
+    try:
+        (series,) = a1_series(limit, 1, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert as_dict(series) == {2**k: 1 for k in range(24)}
+    assert peak < 0.01 * len(keep), peak
+
+
+@pytest.mark.parametrize("N", [2, 4, 24, 720])
+def test_a1_series_one_class_matches_the_slice(N):
+    # the series built from keep[1:] over t = 1..bound, as a list when
+    # dense and a dict otherwise, is what reading keep itself gives
+    for bound in (0, 1, 2, 3, 64, 65, 1000, 5000, 20000):
+        keep = _sieve(bound, N)
+        flags = keep[1:]
+        if flags.count(1) * 64 >= bound:
+            expect = [0] * (bound + 1)
+            expect[1:] = flags
+        else:
+            expect = dict.fromkeys(itertools.compress(range(1, bound + 1), flags), 1)
+        assert a1_series(bound, 1, keep) == [expect], bound
+
+
 @pytest.mark.parametrize("N", [2, 6, 24, 720])
 def test_smooth_numbers(N):
     # the Euler check's n all of whose primes are = 1 mod N, by trial division
