@@ -4,10 +4,9 @@ An irreducible representation of SU(2)^n with highest weight
 (a_1, ..., a_n) has dimension prod(a_i + 1) and acts on the center
 F_2^n through the parities of the a_i, so the degree counts of a
 quotient by a central subgroup are Dirichlet-series coefficients
-summed over the center characters that survive.  They come from
-repdegrees.graded_product, the one combiner behind every spectrum,
-fed the closed-form SU(2) degrees of repdegrees.a1_series split by
-parity.  Starting from an integer trace function on F_2^3 this module
+summed over the center characters that survive: a class polynomial,
+one monomial per character, that the engine behind every spectrum
+evaluates.  Starting from an integer trace function on F_2^3 this module
 builds two embeddings of F_2^3 into F_2^n whose annihilators give
 quotients with identical counts at every dimension, while no
 permutation of the n factors carries one annihilator to the other.
@@ -18,12 +17,12 @@ the pairing is the parity of the AND.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import permutations
 
-from .repdegrees import DegreeTable, as_list, a1_series, graded_product
-from .rootsys import ensure
+from .repdegrees import DegreeTable, _zeta_series, as_list
+from .rootsys import FamilyRank, ensure
 
 _SPACE = range(8)
 
@@ -94,6 +93,10 @@ class SignHom(namedtuple("SignHom", "n functionals multiplicities")):
     def exponents(self) -> list[tuple[int, int]]:
         """The pairs (n - w(x), w(x)) over the 8 characters x, sorted."""
         return sorted((self.n - w, w) for w in map(self.weight, _SPACE))
+
+    def polynomial(self) -> Counter:
+        """The class polynomial, odd^(n - w(x)) * even^w(x) over the characters x."""
+        return Counter(_monomial(odd, even) for odd, even in self.exponents())
 
     def image_bits(self, x: int) -> int:
         """The image of x in F_2^n packed into an integer, coordinate j at bit j."""
@@ -166,8 +169,11 @@ def twist(f: TraceFunction, pi) -> TraceFunction:
 
 
 # -- Dirichlet series machinery ---------------------------------------------
-# The SU(2) series by center class are the engine's closed form for A1,
-# repdegrees.a1_series with 2 classes: 0 holds the odd dimensions, 1 the even.
+
+
+def _monomial(odd: int, even: int) -> frozenset:
+    """odd^odd * even^even on SU(2)'s classes: (0,) the odd dimensions, (1,) the even."""
+    return frozenset(((FamilyRank("A", 1), (c,)), k) for c, k in enumerate((odd, even)) if k)
 
 
 def dirichlet_coeffs(O: int, E: int, bound: int) -> list[int]:
@@ -182,8 +188,7 @@ def dirichlet_coeffs(O: int, E: int, bound: int) -> list[int]:
         raise ValueError("factor counts must be nonnegative")
     if bound < 1:
         raise ValueError("bound must be positive")
-    su2 = {0: dict(enumerate(a1_series(bound, 2)))}
-    return as_list(graded_product((0,) * (O + E), su2, [(1,) * O + (0,) * E], bound), bound)
+    return as_list(_zeta_series(Counter([_monomial(E, O)]), bound), bound)
 
 
 def group_string(hom: SignHom) -> str:
@@ -192,24 +197,15 @@ def group_string(hom: SignHom) -> str:
     return f"su2^{hom.n}/Z[{gens}]"
 
 
-def _su2_products(bound: int) -> tuple[dict, dict]:
-    """The SU(2) series by class and an empty memo of products, for quotient_zeta."""
-    return {0: dict(enumerate(a1_series(bound, 2)))}, {}
-
-
-def quotient_zeta(hom: SignHom, bound: int, shared=None) -> DegreeTable:
+def quotient_zeta(hom: SignHom, bound: int, memo=None) -> DegreeTable:
     """Degree counts of the quotient of SU(2)^n by the annihilator of the image.
 
-    A dimension-d representation survives exactly when its coordinate
-    parity vector lies in the image of the embedding, so the counts are
-    summed factorization counts over the 8 image characters.  Character x
-    takes the odd series to the power n - w(x) and the even one to w(x),
-    w the image weight.  shared, from _su2_products(bound), lets calls at
-    the same bound share the series and every product odd^a * even^b.
+    A representation survives exactly when its coordinate parity vector
+    lies in the image, so the counts sum SignHom.polynomial's monomials, one
+    per image character.  memo, a dict, lets calls at the same bound share
+    every product odd^a * even^b.
     """
-    characters = [tuple(_dot(y, x) for y in hom.functionals) for x in _SPACE]
-    su2, memo = shared or _su2_products(bound)
-    counts = graded_product((0,) * hom.n, su2, characters, bound, memo)
+    counts = _zeta_series(hom.polynomial(), bound, memo=memo)
     return DegreeTable(group_string(hom), "zeta", bound, counts)
 
 
@@ -244,9 +240,9 @@ def verify_gassmann(f1_values, pi, bound: int) -> GassmannReport:
     f2 = twist(f1, pi)
     h1 = build_sign_hom(f1)
     h2 = build_sign_hom(f2)
-    shared = _su2_products(bound)  # for this call only: nothing outlives it
-    t1 = quotient_zeta(h1, bound, shared)
-    t2 = quotient_zeta(h2, bound, shared)
+    memo = {}  # for this call only: nothing outlives it
+    t1 = quotient_zeta(h1, bound, memo)
+    t2 = quotient_zeta(h2, bound, memo)
     return GassmannReport(
         zeta_equal=t1.counts == t2.counts,
         perm_equivalent=perm_equivalent(h1, h2),

@@ -4,17 +4,17 @@ A group is a product of irreducible factors with a weight lattice between
 the root lattice and the full weight lattice.  A spectrum counts
 irreducible representations by dimension up to a bound, exactly.
 
-One combiner, graded_product, builds every spectrum: each factor's degrees
-are counted once per center class, and the spectrum sums, over the class
-tuples the lattice allows, the Dirichlet products of those series.  A
+Every spectrum, gassmann's included, evaluates a class polynomial: each
+factor's degrees are counted once per center class it names, and one
+combiner, graded_product, sums its monomials' Dirichlet products.  A
 series is a list indexed by degree when dense, else a dict (_dense).
 
-A1 factors are written in closed form by a1_series, which gassmann uses
-too.  Other factors go through one walk, _chains, over stems, the weights
-whose last coordinate is 0: each stem's chain along that coordinate is a
-product of counts in C, kept only in the classes the lattice uses.  For
-zeta_star a sieve flags the gcds no prime = 1 mod N divides.  allowable
-and in_lattice remain as the per-weight definitions.
+A1 factors are written in closed form by a1_series.  Other factors go
+through one walk, _chains, over stems, the weights whose last coordinate
+is 0: each stem's chain along that coordinate is a product of counts in
+C, kept only in the classes the polynomial names.  For zeta_star a sieve
+flags the gcds no prime = 1 mod N divides.  allowable and in_lattice
+remain as the per-weight definitions.
 """
 
 from __future__ import annotations
@@ -716,30 +716,28 @@ def _sum(a: Series, b: Series, bound: int) -> Series:
     return out
 
 
-def graded_product(factors, graded, tuples, bound: int, memo=None) -> Series:
-    """Sum over class tuples of the Dirichlet product of the factors' series.
+def graded_product(poly, graded, bound: int, memo=None) -> Series:
+    """Sum over a class polynomial's monomials of their Dirichlet products.
 
-    graded[key] maps a center class to the series of the factor key, and
-    each tuple names a class per factor.  Equal (factor, class) pairs are
-    raised to a power, tuples with the same multiset of pairs share one
-    product (kept by multiset in memo, a dict, if given), and a tuple whose
-    least degree exceeds the bound is skipped.  No series is changed.
+    graded[key] maps a center class to the series of the factor key, which a
+    monomial raises to the pair's power.  Each product is kept by monomial in
+    memo, a dict, if given, and a monomial whose least degree exceeds the
+    bound is skipped.  No series is changed.
     """
-    pairs = {pair for classes in tuples for pair in zip(factors, classes)}
+    pairs = {pair for monomial in poly for pair, _ in monomial}
     least = {(key, c): d for key, c in pairs if (d := _least(graded[key].get(c, {})))}
     total = None
-    multisets = Counter(frozenset(Counter(zip(factors, classes)).items()) for classes in tuples)
-    for groups, times in multisets.items():
-        if any(pair not in least for pair, _ in groups):
+    for monomial, times in poly.items():
+        if any(pair not in least for pair, _ in monomial):
             continue  # a factor has no weight of that class
-        if math.prod(least[pair] ** k for pair, k in groups) > bound:
+        if math.prod(least[pair] ** k for pair, k in monomial) > bound:
             continue
-        product = None if memo is None else memo.get(groups)
+        product = None if memo is None else memo.get(monomial)
         if product is None:
-            powers = [_dirichlet_pow(graded[key][c], k, bound) for (key, c), k in groups]
+            powers = [_dirichlet_pow(graded[key][c], k, bound) for (key, c), k in monomial]
             product = reduce(lambda a, b: _dirichlet_mul(a, b, bound), powers or [{1: 1}])
             if memo is not None:
-                memo[groups] = product
+                memo[monomial] = product
         if times > 1:
             product = ([times * c for c in product] if isinstance(product, list)
                        else {d: times * c for d, c in product.items()})
@@ -778,42 +776,53 @@ def a1_series(bound: int, m: int, keep=None) -> list[Series]:
     return series
 
 
-def _spectrum(spec: GroupSpec, D: int, star: bool) -> Series:
-    """Degree counts up to D; star keeps the weights no prime = 1 mod N strips.
+def class_polynomial(spec: GroupSpec) -> Counter:
+    """zeta as a Counter of monomials in the factors' series by center class,
+    frozensets of ((factor, class), power), one per allowed class tuple.  A
+    class c stands for min(c, -c mod det C), as duals share degrees and
+    gcds; so groups with equal polynomials have equal zeta and zeta_star."""
+    return Counter(  # det C is read only for a class it grades, so never for 'sc'
+        frozenset(Counter((fr, min(c, tuple(-x % build(fr).cartan_det for x in c)))
+                          for fr, c in zip(spec.factors, classes)).items())
+        for classes in _allowed_classes(spec))
 
-    Each distinct factor is counted once per class an allowed tuple uses.  A
-    weight of gcd g has dimension at least g ** |Phi+|: the sieve stops there.
+
+def _zeta_series(poly, D: int, N: int | None = None, memo=None) -> Series:
+    """Degree counts up to D of a class polynomial, each factor counted once
+    per class it names; with N, of the weights no prime = 1 mod N strips.
+
+    A weight of gcd g has dimension at least g ** |Phi+|: the sieve stops there.
     With the true N the walk's strip filter drops no weight in any job the
     entry cap admits: on A2 (N = 6!) the least it could drop is 2161 rho,
     2161 the least prime = 1 mod 720, of dimension 2161^3 ~ 1.01 * 10^10,
     where A2 has 19.2 M weights; every other walked factor has N >= 8! and
     needs a larger bound.  Tests reach the filter with a patched N.
     """
-    N = N_of(spec) if star else None
-    allowed = _allowed_classes(spec)
+    pairs = {pair for monomial in poly for pair, _ in monomial}
     graded: dict[FamilyRank, dict[tuple, Series]] = {}
-    for fr in set(spec.factors):
+    for fr in {fr for fr, _ in pairs}:
+        wanted = {c for other, c in pairs if other == fr}
         gmax = _iroot(D, build(fr).num_positive)
-        keep = _sieve(gmax, N) if star and gmax > N else None
-        classes = _center_steps(fr, spec.kind)[0]
+        keep = _sieve(gmax, N) if N is not None and gmax > N else None
+        kind = "sc" if () in wanted else "cosets"  # () grades nothing
+        classes = _center_steps(fr, kind)[0]
         if fr.rank == 1:
             counts = a1_series(D, len(classes), keep)
         else:
             counts = [{} for _ in classes]
-            wanted = {classes.index(t[k]) for t in allowed
-                      for k, other in enumerate(spec.factors) if other == fr}
-            for _, c, _, _, dims in _chains(fr, D, spec.kind, wanted, keep):
+            for _, c, _, _, dims in _chains(fr, D, kind, set(map(classes.index, wanted)), keep):
                 _count_elements(counts[c], dims)  # Counter.update's loop, in C
         graded[fr] = dict(zip(classes, counts))
-    return graded_product(spec.factors, graded, allowed, D)
+    return graded_product(poly, graded, D, memo)
 
 
 def zeta_coefficients(spec: GroupSpec, D: int) -> DegreeTable:
-    return DegreeTable(spec.canonical(), "zeta", D, _spectrum(spec, D, star=False))
+    return DegreeTable(spec.canonical(), "zeta", D, _zeta_series(class_polynomial(spec), D))
 
 
 def zeta_star_coefficients(spec: GroupSpec, D: int) -> DegreeTable:
-    return DegreeTable(spec.canonical(), "zeta_star", D, _spectrum(spec, D, star=True))
+    return DegreeTable(spec.canonical(), "zeta_star", D,
+                       _zeta_series(class_polynomial(spec), D, N_of(spec)))
 
 
 def euler_identity_check(spec: GroupSpec, D: int) -> bool:
@@ -822,11 +831,11 @@ def euler_identity_check(spec: GroupSpec, D: int) -> bool:
     N = N_of(spec)
     # prod over those p of 1/(1 - p^-ms) sums n^-ms over n built from such p
     smooth = _smooth(_iroot(D, min(build(fr).num_positive for fr in spec.factors)), N)
-    series = _spectrum(spec, D, star=True)
+    series = _zeta_series(class_polynomial(spec), D, N)
     for fr in spec.factors:
         m = build(fr).num_positive
         series = _dirichlet_mul(series, {n**m: 1 for n in smooth if n**m <= D}, D)
-    return Counts(series) == Counts(_spectrum(spec, D, star=False))
+    return Counts(series) == Counts(_zeta_series(class_polynomial(spec), D))
 
 
 def _is_prime_power(n: int) -> bool:

@@ -267,12 +267,12 @@ def closed_under_addition(vectors) -> bool:
                for a in members for b in members)
 
 
-def su3_code_words() -> list[str]:
-    """The 27 words of a ternary [7, 3] code as SU(3)^7 coset vectors, one
-    pair of A2 root-basis coordinates per letter."""
-    rows = [(1, 0, 0, 1, 1, 0, 1), (0, 1, 0, 1, 0, 1, 1), (0, 0, 1, 0, 1, 1, 2)]
+def su3_code_words(columns=("100", "010", "001", "110", "101", "011", "112")) -> list[str]:
+    """The 27 words of a ternary code of length 7, spanned by the rows of
+    the 3 x 7 matrix with these columns (digit strings over F_3), as SU(3)^7
+    coset vectors, one pair of A2 root-basis coordinates per letter."""
     pair = ["0,0", "1/3,2/3", "2/3,1/3"]
-    return [",".join(pair[sum(map(mul, a, col)) % 3] for col in zip(*rows))
+    return [",".join(pair[sum(map(mul, a, map(int, col))) % 3] for col in columns)
             for a in product(range(3), repeat=3)]
 
 

@@ -11,7 +11,6 @@ import pytest
 from weylzeta.gassmann import (
     DEFAULT_TRACE,
     _spans_dual,
-    _su2_products,
     DEFAULT_TWIST,
     SignHom,
     TraceFunction,
@@ -26,7 +25,7 @@ from weylzeta.gassmann import (
     twist,
     verify_gassmann,
 )
-from weylzeta.repdegrees import DegreeTable, GroupSpec, zeta_coefficients
+from weylzeta.repdegrees import DegreeTable, GroupSpec, class_polynomial, zeta_coefficients
 from weylzeta.rootsys import FamilyRank
 
 import oracles
@@ -236,16 +235,29 @@ def test_quotient_zeta_odd_part_is_odd_rotation_table():
         assert coeffs[d] == so3.counts.get(d, 0)
 
 
-def test_quotient_zeta_matches_coset_spectrum():
-    hom = build_sign_hom(REGULAR)
+def _coset_group(hom: SignHom) -> GroupSpec:
+    """The quotient as a cosets group: one vector of halves per image element."""
     vectors = []
     for x in range(8):
         bits = hom.image_bits(x)
-        vectors.append(tuple(F(bits >> j & 1, 2) for j in range(8)))
-    spec = GroupSpec((FamilyRank("A", 1),) * 8, "cosets", tuple(vectors))
-    direct = zeta_coefficients(spec, 40)
+        vectors.append(tuple(F(bits >> j & 1, 2) for j in range(hom.n)))
+    return GroupSpec((FamilyRank("A", 1),) * hom.n, "cosets", tuple(vectors))
+
+
+def test_quotient_zeta_matches_coset_spectrum():
+    hom = build_sign_hom(REGULAR)
+    direct = zeta_coefficients(_coset_group(hom), 40)
     quotient = quotient_zeta(hom, 40)
     assert quotient.counts == direct.counts
+
+
+@pytest.mark.parametrize("values", [REGULAR.values, DEFAULT_TRACE])
+def test_polynomial_matches_coset_group(values):
+    # the polynomial read from the characters is the one the engine reads
+    # from the same quotient's lattice
+    hom = build_sign_hom(TraceFunction(values))
+    assert hom.polynomial() == class_polynomial(_coset_group(hom))
+    assert sum(hom.polynomial().values()) == 8
 
 
 def _odd_tuple_count(d: int, n: int) -> int:
@@ -278,15 +290,15 @@ def test_quotient_zeta_default_closed_form():
 
 @pytest.mark.parametrize("bound", [500, 10**4, 2 * 10**4])
 def test_shared_products_match_independent_calls(bound):
-    # verify_gassmann's two quotients share the SU(2) series and a memo of
-    # products; shared or not, each table is the same
+    # verify_gassmann's two quotients share a memo of products; shared or
+    # not, each table is the same
     f1 = build_trace(DEFAULT_TRACE)
     homs = [build_sign_hom(f1), build_sign_hom(twist(f1, DEFAULT_TWIST))]
-    shared = _su2_products(bound)
-    assert [quotient_zeta(h, bound, shared) for h in homs] == [
+    memo = {}
+    assert [quotient_zeta(h, bound, memo) for h in homs] == [
         quotient_zeta(h, bound) for h in homs]
     # below 2^48 only odd^128 survives the bound, computed once for both
-    assert len(shared[1]) == 1
+    assert len(memo) == 1
 
 
 def test_quotient_zeta_serialization_roundtrip():

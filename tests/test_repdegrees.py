@@ -18,6 +18,7 @@ from weylzeta.repdegrees import (
     N_of,
     a1_series,
     allowable,
+    class_polynomial,
     dim_irrep,
     enumerate_dominant,
     euler_identity_check,
@@ -28,6 +29,7 @@ from weylzeta.repdegrees import (
     zeta_star_coefficients,
 )
 from weylzeta.repdegrees import (
+    _allowed_classes,
     _center_steps,
     _chains,
     _dirichlet_mul,
@@ -47,6 +49,8 @@ from oracles import (
     dim_irrep_product,
     recover_factor_sizes,
     root_basis_coords,
+    su3_code_group,
+    su3_code_words,
     truncated,
 )
 from oracles import pair_loop as _pair_loop  # the name the squaring tests use
@@ -523,7 +527,7 @@ A1 = FamilyRank("A", 1)
 @pytest.mark.parametrize("kind", ["sc", "adjoint", "cosets"])
 def test_a1_series_matches_walk(kind, N):
     # the walk's counts by class, keeping the weights whose coordinate gcd
-    # the sieve flags, as _spectrum does for factors of rank >= 2
+    # the sieve flags, as _zeta_series does for factors of rank >= 2
     rng = random.Random(f"{kind}{N}")
     classes = _center_steps(A1, kind)[0]
     for bound in [0, 1, 2, 3] + [rng.randint(4, 5000) for _ in range(8)]:
@@ -569,6 +573,13 @@ def _sum_over_tuples(factors, graded, tuples, bound):
     return {d: v for d, v in expect.items() if v}
 
 
+def _tuple_polynomial(factors, tuples):
+    """The polynomial of class tuples as they stand, no class merged with
+    its dual: each tuple's multiset of (factor, class) pairs, counted."""
+    return collections.Counter(frozenset(collections.Counter(zip(factors, t)).items())
+                               for t in tuples)
+
+
 @pytest.mark.parametrize("bound", [1, 2, 60, 500])
 def test_graded_product_matches_sum_over_tuples(bound):
     # repeated (factor, class) pairs are raised to a power and empty or
@@ -583,7 +594,7 @@ def test_graded_product_matches_sum_over_tuples(bound):
         chosen = rng.sample(sorted(tuples), 12)
         chosen += [(1, 0, 2, 1), (1, 1, 2, 0), (0, 1, 2, 1)]
         expect = _sum_over_tuples(factors, graded, set(chosen), bound)
-        got = graded_product(factors, graded, set(chosen), bound)
+        got = graded_product(_tuple_polynomial(factors, set(chosen)), graded, bound)
         assert as_dict(got) == expect
 
 
@@ -607,12 +618,110 @@ def test_graded_product_memo_matches_definition(bound):
     rounds = [set(NEAR_TUPLES)] + [{t, *rng.sample(tuples, 8)} for t in NEAR_TUPLES]
     for chosen in rounds:
         expect = _sum_over_tuples(factors, graded, chosen, bound)
-        assert as_dict(graded_product(factors, graded, chosen, bound)) == expect
-        assert as_dict(graded_product(factors, graded, chosen, bound, memo)) == expect
+        poly = _tuple_polynomial(factors, chosen)
+        assert as_dict(graded_product(poly, graded, bound)) == expect
+        assert as_dict(graded_product(poly, graded, bound, memo)) == expect
     # one entry per multiset of ((factor, class), exponent); every tuple fits
     # the bound, since each series has a degree-1 term
     assert set(memo) == {frozenset(collections.Counter(zip(factors, t)).items())
                          for chosen in rounds for t in chosen}
+
+
+# -- class polynomials: equal merged polynomials, equal tables ---------------
+
+
+def _unmerged(spec):
+    """The class polynomial before each class is merged with its dual."""
+    return _tuple_polynomial(spec.factors, _allowed_classes(spec))
+
+
+# Each A2 factor of one group is the other's conjugate: X and X' differ by
+# c -> -c on the first factor, so only the dual merge makes them agree
+CONJUGATE_A2 = ("A2xA2:cosets[0,0,0,0;2/3,1/3,2/3,1/3;1/3,2/3,1/3,2/3]",
+                "A2xA2:cosets[0,0,0,0;1/3,2/3,2/3,1/3;2/3,1/3,1/3,2/3]")
+
+
+def test_conjugate_a2_pair_shares_its_merged_polynomial():
+    a, b = map(GroupSpec.parse, CONJUGATE_A2)
+    assert _unmerged(a) != _unmerged(b)
+    assert class_polynomial(a) == class_polynomial(b)
+    assert zeta_coefficients(a, 20000).counts == zeta_coefficients(b, 20000).counts
+    assert zeta_star_coefficients(a, 20000).counts == zeta_star_coefficients(b, 20000).counts
+
+
+# SU(3)^7 by ternary codes of length 7, as column multisets over F_3: the
+# codes of P and of Q are inequivalent with equal weight enumerators
+SU3_PAIRS = {
+    "P": (["001"] * 3 + ["010", "011", "100", "112"],
+          ["001"] * 2 + ["010"] * 2 + ["011"] + ["100"] * 2),
+    "Q": (["001"] * 2 + ["010", "011", "100", "101", "111"],
+          ["001"] * 2 + ["010", "011", "100", "110", "120"]),
+}
+
+
+def _su3_code(columns) -> GroupSpec:
+    return GroupSpec.parse(su3_code_group(su3_code_words(columns)))
+
+
+@pytest.mark.parametrize("name", sorted(SU3_PAIRS))
+def test_su3_code_pair_shares_its_merged_polynomial(name):
+    a, b = map(_su3_code, SU3_PAIRS[name])
+    assert class_polynomial(a) == class_polynomial(b)
+    assert _unmerged(a) != _unmerged(b)
+    assert zeta_coefficients(a, 10**4).counts == zeta_coefficients(b, 10**4).counts
+
+
+def test_su3_control_pair_differs_at_nine():
+    # P's first code against Q's first: the polynomials differ, and so do
+    # the tables, first at degree 9
+    a, b = (_su3_code(SU3_PAIRS[name][0]) for name in "PQ")
+    assert class_polynomial(a) != class_polynomial(b)
+    ta, tb = zeta_coefficients(a, 9).counts, zeta_coefficients(b, 9).counts
+    assert [d for d in range(1, 10) if ta.get(d, 0) != tb.get(d, 0)] == [9]
+
+
+def _cosets_group(factors, gens) -> GroupSpec:
+    """The cosets group whose lattice holds the class tuples the generators
+    span, each class c of a factor written as the coset vector c / det C."""
+    frs = [FamilyRank.parse(f) for f in factors]
+    dets = [build(fr).cartan_det for fr in frs]
+    zero = tuple((0,) * fr.rank for fr in frs)
+    span, frontier = {zero}, [zero]
+    while frontier:
+        t = frontier.pop()
+        for g in gens:
+            s = tuple(tuple((x + y) % d for x, y in zip(p, q)) for p, q, d in zip(t, g, dets))
+            if s not in span:
+                span.add(s)
+                frontier.append(s)
+    return GroupSpec(frs, "cosets", [tuple(Fraction(x, d) for c, d in zip(t, dets) for x in c)
+                                     for t in span])
+
+
+CENSUS_FACTORS = [("A2",) * 3, ("A1",) * 3, ("A3", "A1"), ("A3", "A3"), ("A2", "A1", "A2")]
+
+
+def test_equal_merged_polynomials_give_equal_tables():
+    # random lattices of each product, each beside its conjugate on the
+    # first factor; every two groups with one merged polynomial share a table
+    rng = random.Random(2003)
+    by_poly = collections.defaultdict(set)
+    for factors in CENSUS_FACTORS:
+        classes = [_center_steps(FamilyRank.parse(f), "cosets")[0] for f in factors]
+        dets = [build(FamilyRank.parse(f)).cartan_det for f in factors]
+        for _ in range(5):
+            gens = [tuple(map(rng.choice, classes)) for _ in range(rng.randint(1, 2))]
+            duals = [(tuple(-x % dets[0] for x in g[0]), *g[1:]) for g in gens]
+            for spec in (_cosets_group(factors, gens), _cosets_group(factors, duals)):
+                by_poly[frozenset(class_polynomial(spec).items())].add(spec)
+    shared = [sorted(specs) for specs in by_poly.values() if len(specs) > 1]
+    merged_only = 0
+    for first, *rest in shared:
+        table = zeta_coefficients(first, 10**4).counts
+        for spec in rest:
+            assert zeta_coefficients(spec, 10**4).counts == table, (first, spec)
+            merged_only += _unmerged(spec) != _unmerged(first)
+    assert len(shared) >= 5 and merged_only >= 3
 
 
 # -- the factor walk and the sieve against their definitions -----------------
