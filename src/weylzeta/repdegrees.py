@@ -9,12 +9,12 @@ factor's degrees are counted once per center class it names, and one
 combiner, graded_product, sums its monomials' Dirichlet products.  A
 series is a list indexed by degree when dense, else a dict (_dense).
 
-A1 factors are written in closed form by a1_series.  Other factors go
-through one walk, _chains, over stems, the weights whose last coordinate
-is 0: each stem's chain along that coordinate is a product of counts in
-C, kept only in the classes the polynomial names.  For zeta_star a sieve
-flags the gcds no prime = 1 mod N divides.  allowable and in_lattice
-remain as the per-weight definitions.
+A1 factors are written in closed form by a1_series, whose strip sieve
+flags the t no prime = 1 mod N divides.  Other factors go through one
+walk, _chains, over stems, the weights whose last coordinate is 0: each
+stem's chain along that coordinate is a product of counts in C.  zeta_star
+refuses a bound at which they lose a weight (_strips).  allowable and
+in_lattice remain as the per-weight definitions.
 """
 
 from __future__ import annotations
@@ -159,7 +159,8 @@ def _allowed_classes(spec: GroupSpec) -> frozenset:
     'adjoint', or each coset vector's classes."""
     if spec.kind == "cosets":
         return frozenset(map(spec._classes, spec.cosets))
-    return frozenset([tuple(_center_steps(fr, spec.kind)[0][0] for fr in spec.factors)])
+    kind = "sc" if spec.kind == "sc" else "cosets"  # 'adjoint' reads the cosets table
+    return frozenset([tuple(_center_steps(fr, kind)[0][0] for fr in spec.factors)])
 
 
 def in_lattice(spec: GroupSpec, lam) -> bool:
@@ -209,7 +210,7 @@ def _columns(fr: FamilyRank) -> tuple:
         compress(enumerate(last), last))
 
 
-def _chains(fr: FamilyRank, bound: int, kind: str, wanted, keep=None):
+def _chains(fr: FamilyRank, bound: int, kind: str, wanted):
     """The dominant weights of one factor with dimension <= bound, by chains.
 
     Yields (v, c, t, per, dims), dims nonempty, per stem (a weight with
@@ -218,8 +219,7 @@ def _chains(fr: FamilyRank, bound: int, kind: str, wanted, keep=None):
     <lam + rho, beta^vee>, and its weights of class c have last coordinate
     t, t + per, ... and dimensions dims.  Raising lam_i adds column i of the
     coroots to them; dim <= bound iff their product is at most
-    bound * Delta.  A chain is a product of counts multiplied in C.  keep
-    (_sieve), if given, keeps only the weights whose gcd it flags.
+    bound * Delta.  A chain is a product of counts multiplied in C.
     """
     n, delta = fr.rank, build(fr).delta
     limit, div = bound * delta, delta.__rfloordiv__
@@ -244,7 +244,6 @@ def _chains(fr: FamilyRank, bound: int, kind: str, wanted, keep=None):
             orbit.append(step[orbit[-1]])
         per = len(orbit)
         const = math.prod(compress(v, rest))
-        g = math.gcd(*compress(v, rest))  # gcd(g, t + 1) is a weight's gcd
         for r, e in enumerate(orbit):
             if e not in wanted:
                 continue
@@ -252,9 +251,6 @@ def _chains(fr: FamilyRank, bound: int, kind: str, wanted, keep=None):
             for j, a in pairs:
                 prods = map(mul, prods, count(v[j] + r * a, per * a))
             prods = takewhile(limit.__ge__, prods)
-            if keep is not None and (g >= len(keep) or not keep[g]):
-                gcds = map(math.gcd, repeat(g), count(r + 1, per))
-                prods = compress(prods, map(keep.__getitem__, gcds))
             if dims := list(map(div, islice(prods, max(left, 0) + 1))):
                 left -= len(dims)
                 yield v, e, r, per, dims
@@ -321,6 +317,16 @@ def allowable(spec: GroupSpec, lam) -> bool:
     """True iff no factor of lam can be stripped at a prime = 1 mod N."""
     N = N_of(spec)
     return not any(_stripped(lam[a:b], N) for a, b in spec.slices())
+
+
+def _strips(fr: FamilyRank, D: int, N: int) -> bool:
+    """True iff a prime p = 1 mod N strips a weight of fr of dimension <= D:
+    p strips p mu + (p - 1) rho, of dimension p ** |Phi+| dim mu.  A walk
+    holding the weights 2 j rho, of the zero class, with (2 j + 1) ** |Phi+|
+    <= D is refused first, so the primes are sieved at most to 2 MAX_ENTRIES."""
+    top = _iroot(D, build(fr).num_positive)
+    _admit((top + 1) // 2)
+    return any(_primes(top)[N + 1::N])
 
 
 def _iroot(x: int, k: int) -> int:
@@ -719,13 +725,13 @@ def _sum(a: Series, b: Series, bound: int) -> Series:
 def graded_product(poly, graded, bound: int, memo=None) -> Series:
     """Sum over a class polynomial's monomials of their Dirichlet products.
 
-    graded[key] maps a center class to the series of the factor key, which a
-    monomial raises to the pair's power.  Each product is kept by monomial in
-    memo, a dict, if given, and a monomial whose least degree exceeds the
-    bound is skipped.  No series is changed.
+    graded[key] maps each center class the polynomial names to the series
+    of the factor key, which a monomial raises to the pair's power.  Each
+    product is kept by monomial in memo, a dict, if given, and a monomial
+    whose least degree exceeds the bound is skipped.  No series is changed.
     """
     pairs = {pair for monomial in poly for pair, _ in monomial}
-    least = {(key, c): d for key, c in pairs if (d := _least(graded[key].get(c, {})))}
+    least = {(key, c): d for key, c in pairs if (d := _least(graded[key][c]))}
     total = None
     for monomial, times in poly.items():
         if any(pair not in least for pair, _ in monomial):
@@ -745,35 +751,30 @@ def graded_product(poly, graded, bound: int, memo=None) -> Series:
     return {} if total is None else total
 
 
-def a1_series(bound: int, m: int, keep=None) -> list[Series]:
-    """The degrees of SU(2) up to bound, one series per center class: the
-    weight lam + rho = t has dimension and gcd t, so class j holds the
+def a1_series(bound: int, m: int, j: int, keep=None) -> Series:
+    """The degrees of SU(2) up to bound in center class j of m: lam + rho = t
+    has dimension and gcd t and class t - 1 mod m, so the series holds the
     t = j + 1 mod m that a strip sieve keep (_sieve, to bound) flags."""
-    if keep is None:  # each class keeps all its t, so a nonempty one is a list
+    ts = range(j + 1, bound + 1, m)
+    if keep is None:  # every t is kept, so a nonempty class is a list
         _admit(bound + 1)
-    series = []
-    for j in range(m):
-        ts = range(j + 1, bound + 1, m)
-        if keep is None:
-            flags = b"\1" * len(ts)
-        elif m == 1:  # keep[0] is 0, so keep itself flags every t, uncopied
-            ts, flags = range(bound + 1), keep
-        else:
-            flags = keep[j + 1::m]
-        terms = flags.count(1)
-        if _dense(terms, bound):
-            _admit(bound + 1)
-            s = [0] * (bound + 1)
-            s[ts.start::m] = flags
-        else:
-            _admit(terms)
-            s, i = {}, flags.find(1)
-            while i >= 0:  # under bound / 64 finds in C, not a pass over every t
-                s[ts[i]] = 1
-                i = flags.find(1, i + 1)
-        del flags  # before the next class's slice is taken
-        series.append(s)
-    return series
+        flags = b"\1" * len(ts)
+    elif m == 1:  # keep[0] is 0, so keep itself flags every t, uncopied
+        ts, flags = range(bound + 1), keep
+    else:
+        flags = keep[j + 1::m]
+    terms = flags.count(1)
+    if _dense(terms, bound):
+        _admit(bound + 1)
+        s = [0] * (bound + 1)
+        s[ts.start::m] = flags
+        return s
+    _admit(terms)
+    s, i = {}, flags.find(1)
+    while i >= 0:  # under bound / 64 finds in C, not a pass over every t
+        s[ts[i]] = 1
+        i = flags.find(1, i + 1)
+    return s
 
 
 def class_polynomial(spec: GroupSpec) -> Counter:
@@ -788,31 +789,29 @@ def class_polynomial(spec: GroupSpec) -> Counter:
 
 
 def _zeta_series(poly, D: int, N: int | None = None, memo=None) -> Series:
-    """Degree counts up to D of a class polynomial, each factor counted once
-    per class it names; with N, of the weights no prime = 1 mod N strips.
+    """Degree counts up to D of a class polynomial, each factor counted in
+    the classes it names; with N, of the weights no prime = 1 mod N strips.
 
-    A weight of gcd g has dimension at least g ** |Phi+|: the sieve stops there.
-    With the true N the walk's strip filter drops no weight in any job the
-    entry cap admits: on A2 (N = 6!) the least it could drop is 2161 rho,
-    2161 the least prime = 1 mod 720, of dimension 2161^3 ~ 1.01 * 10^10,
-    where A2 has 19.2 M weights; every other walked factor has N >= 8! and
-    needs a larger bound.  Tests reach the filter with a patched N.
+    Only A1 factors lose weights in an admitted job: a walked factor's least
+    stripped weight has dimension p ** |Phi+| (_strips), 2161^3 on A2.
     """
     pairs = {pair for monomial in poly for pair, _ in monomial}
+    factors = sorted({fr for fr, _ in pairs})
+    for fr in factors:  # every walked factor, before any series is built
+        if N is not None and fr.rank > 1 and _strips(fr, D, N):
+            raise ValueError(f"zeta_star would strip weights of {fr}; lower the bound")
     graded: dict[FamilyRank, dict[tuple, Series]] = {}
-    for fr in {fr for fr, _ in pairs}:
+    for fr in factors:
         wanted = {c for other, c in pairs if other == fr}
-        gmax = _iroot(D, build(fr).num_positive)
-        keep = _sieve(gmax, N) if N is not None and gmax > N else None
         kind = "sc" if () in wanted else "cosets"  # () grades nothing
         classes = _center_steps(fr, kind)[0]
-        if fr.rank == 1:
-            counts = a1_series(D, len(classes), keep)
+        if fr.rank == 1:  # a weight of A1 has gcd at most D
+            keep = _sieve(D, N) if N is not None and D > N else None
+            graded[fr] = {c: a1_series(D, len(classes), classes.index(c), keep) for c in wanted}
         else:
-            counts = [{} for _ in classes]
-            for _, c, _, _, dims in _chains(fr, D, kind, set(map(classes.index, wanted)), keep):
-                _count_elements(counts[c], dims)  # Counter.update's loop, in C
-        graded[fr] = dict(zip(classes, counts))
+            graded[fr] = {c: {} for c in wanted}
+            for _, j, _, _, dims in _chains(fr, D, kind, set(map(classes.index, wanted))):
+                _count_elements(graded[fr][classes[j]], dims)  # Counter.update's loop, in C
     return graded_product(poly, graded, D, memo)
 
 

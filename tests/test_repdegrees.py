@@ -10,7 +10,13 @@ from hypothesis import given, strategies as st
 from sympy import factorint, isprime, primefactors, primerange
 
 from weylzeta import repdegrees
-from weylzeta.gassmann import DEFAULT_TRACE, build_sign_hom, build_trace, quotient_zeta
+from weylzeta.gassmann import (
+    DEFAULT_TRACE,
+    build_sign_hom,
+    build_trace,
+    dirichlet_coeffs,
+    quotient_zeta,
+)
 from weylzeta.repdegrees import (
     DegreeTable,
     FamilyRank,
@@ -39,6 +45,7 @@ from weylzeta.repdegrees import (
     _sieve,
     _smooth,
     _stripped,
+    _strips,
 )
 from weylzeta.rootsys import all_types, build
 
@@ -536,7 +543,8 @@ def test_a1_series_matches_walk(kind, N):
         for d, c, shifted in _factor_spectrum(A1, bound, kind):
             if keep is None or keep[math.gcd(*shifted)]:
                 expect[c][d] = expect[c].get(d, 0) + 1
-        assert [as_dict(s) for s in a1_series(bound, len(classes), keep)] == expect, bound
+        got = [a1_series(bound, len(classes), j, keep) for j in range(len(classes))]
+        assert [as_dict(s) for s in got] == expect, bound
 
 
 A1_ENGINE_CASES = [
@@ -819,14 +827,61 @@ def test_chain_tails_meet_the_head(monkeypatch):
 @pytest.mark.parametrize("text", ["A2:sc", "A2:adjoint", "B2:sc", "A1xA2:sc"])
 def test_strip_filter_on_walked_factors(monkeypatch, text, N):
     # with the true N no prime = 1 mod N is small enough to strip a walked
-    # factor at these bounds; a patched N, which allowable reads too, makes
-    # the walk drop stripped weights of its chains, heads and tails alike
+    # factor in an admitted job; a patched N, which allowable reads too,
+    # strips some weight to 5000, and zeta_star refuses that bound
     monkeypatch.setattr(repdegrees, "N_of", lambda spec: N)
     spec = GroupSpec.parse(text)
     expect = collections.Counter(d for lam, d in enumerate_dominant(spec, 5000)
                                  if allowable(spec, lam))
     assert expect != collections.Counter(d for _, d in enumerate_dominant(spec, 5000))
-    assert zeta_star_coefficients(spec, 5000).counts == expect
+    with pytest.raises(ValueError, match="would strip weights of"):
+        zeta_star_coefficients(spec, 5000)
+
+
+@pytest.mark.parametrize("fr,N,D,strips", [
+    ("A2", 720, 2161**3 - 1, False),  # 2161, the least prime = 1 mod 6!, strips 2160 rho
+    ("A2", 720, 2161**3, True),
+    ("A2", 40320, 161281**3, True),  # A1xA2: 161281, the least prime = 1 mod 8!
+    ("B2", 40320, 2**63 - 1, False),  # 161281^4 > 2^63
+])
+def test_strips_at_its_edges(fr, N, D, strips):
+    assert _strips(FamilyRank.parse(fr), D, N) is strips
+
+
+def test_strip_guard_refuses_before_any_series(monkeypatch):
+    # the least weight a prime = 1 mod N strips, on a walked factor alone
+    # or beside an A1 factor whose strip sieve would be refused by size
+    monkeypatch.setattr(repdegrees, "_chains", None)
+    monkeypatch.setattr(repdegrees, "a1_series", None)
+    for text, D in [("A2:sc", 2161**3), ("A2:adjoint", 2161**3), ("A1xA2:sc", 161281**3)]:
+        with pytest.raises(ValueError, match="would strip weights of A2"):
+            zeta_star_coefficients(GroupSpec.parse(text), D)
+    # past the entry cap's multiples of rho, refused without a sieve of primes
+    monkeypatch.setattr(repdegrees, "_primes", None)
+    with pytest.raises(ValueError, match="more than 5000000 entries"):
+        zeta_star_coefficients(GroupSpec.parse("A2:sc"), 10**40)
+
+
+def test_builders_ask_only_for_named_classes(monkeypatch):
+    # each A1 series is built for a class the polynomial names, once
+    calls = []
+    built = repdegrees.a1_series
+
+    def spy(bound, m, j, keep=None):
+        calls.append((m, j))
+        return built(bound, m, j, keep)
+
+    monkeypatch.setattr(repdegrees, "a1_series", spy)
+    adjoint = GroupSpec.parse("A1:adjoint")
+    for job in (lambda: zeta_coefficients(adjoint, 1000),
+                lambda: zeta_star_coefficients(adjoint, 1000),
+                lambda: dirichlet_coeffs(0, 3, 1000)):
+        calls.clear()
+        job()
+        assert calls == [(2, 0)]
+    calls.clear()
+    zeta_coefficients(SO4, 1000)
+    assert sorted(calls) == [(2, 0), (2, 1)]
 
 
 def _prime_factors(n):
@@ -894,7 +949,7 @@ def test_a1_series_holds_one_class_slice():
     keep = _sieve(limit, 2)
     tracemalloc.start()
     try:
-        series = a1_series(limit, 2, keep)
+        series = [a1_series(limit, 2, j, keep) for j in range(2)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -909,7 +964,7 @@ def test_a1_series_reads_one_class_from_keep_itself():
     keep = _sieve(limit, 2)
     tracemalloc.start()
     try:
-        (series,) = a1_series(limit, 1, keep)
+        series = a1_series(limit, 1, 0, keep)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -929,7 +984,7 @@ def test_a1_series_one_class_matches_the_slice(N):
             expect[1:] = flags
         else:
             expect = dict.fromkeys(itertools.compress(range(1, bound + 1), flags), 1)
-        assert a1_series(bound, 1, keep) == [expect], bound
+        assert a1_series(bound, 1, 0, keep) == expect, bound
 
 
 @pytest.mark.parametrize("N", [2, 6, 24, 720])
@@ -1110,7 +1165,7 @@ def test_to_text_of_counts_past_2_63():
     assert isinstance(table.counts.series, list) and len(table.counts) > 8193
     assert max(table.counts.values()) >= 2**55
     _same_text(table.to_text(), oracles.to_text(table))
-    power = _dirichlet_pow(a1_series(20000, 2)[0], 1024, 20000)
+    power = _dirichlet_pow(a1_series(20000, 2, 0), 1024, 20000)
     assert sum(c >= 2**63 for c in power) > 5
     _rendered_alike(power, 20000)
     _rendered_alike(as_dict(power), 20000)
@@ -1282,7 +1337,7 @@ def test_dirichlet_pow_path_rule(monkeypatch):
     # only dense bases with f(1) = 1, raised to a power k >= 3, try the
     # prime-by-prime path; multiplicative ones take it, others fall back
     calls = _spy_multiplicative(monkeypatch)
-    odd, even = a1_series(2000, 2)
+    odd, even = (a1_series(2000, 2, j) for j in range(2))
     for k in (1, 2):
         _dirichlet_pow(odd, k, 2000)
     assert calls == []
@@ -1295,7 +1350,7 @@ def test_dirichlet_pow_path_rule(monkeypatch):
     zeta_coefficients(GroupSpec.parse("x".join(["G2"] * 8) + ":sc"), 10**5)
     assert calls == []
     # the A1 series of the values a strip sieve flags stays multiplicative
-    (kept,) = a1_series(2000, 1, _sieve(2000, 4))
+    kept = a1_series(2000, 1, 0, _sieve(2000, 4))
     assert 2000 > len(as_dict(kept)) >= 2000 / 64
     _dirichlet_pow(kept, 5, 2000)
     # A2's class-0 series is dense at 2000 but 10 = 2 * 5 has two weights
