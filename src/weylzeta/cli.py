@@ -106,8 +106,7 @@ def _cache_path(directory: Path, canonical: str, variant: str) -> Path:
 
 
 def _trailer(body: bytes) -> bytes:
-    entries = body.count(b"\n") - 1  # lines after the header
-    return f"# entries={entries} sha256={hashlib.sha256(body).hexdigest()}\n".encode()
+    return f"# sha256={hashlib.sha256(body).hexdigest()}\n".encode()
 
 
 def _unsealed(data: bytes) -> bytes:
@@ -333,8 +332,7 @@ COMMANDS = {
         ("--max-degree", int, True, "D", None),
     )),
     "verify-paper": ("regression ledger of reference values", _cmd_verify, (
-        ("--fast", bool, False, None,
-         "skip the F4 efficiency search and the prime-power scan"),
+        ("--fast", bool, False, None, "skip the prime-power scan"),
         ("--json", bool, False, None,
          "print one JSON object with each check's title, verdict and seconds"),
     )),

@@ -434,6 +434,7 @@ def as_list(series: Series, bound: int) -> list[int]:
     """The series as a list up to bound: a list as it is, a dict written out."""
     if isinstance(series, list):
         return series
+    _admit(bound + 1)
     out = [0] * (bound + 1)
     for d, c in series.items():
         if d <= bound:
@@ -629,15 +630,13 @@ def _dirichlet_mul(a: Series, b: Series, bound: int) -> Series:
 
 
 def _dirichlet_pow(base: Series, k: int, bound: int) -> Series:
-    """base ** k for k >= 1 up to bound: by square-and-multiply or, when
-    f(1) = 1, the base is dense and k >= 3, prime by prime if the base is
-    multiplicative (_multiplicative_pow), about the cost of one squaring
-    (A1 series to 20000 on a 2-core VM: 6.3 ms, against 4.3-25 ms for
-    k = 2..8 by squaring).
+    """base ** k for k >= 1 up to bound: by square-and-multiply or, for a
+    list (dense by construction, as a1_series builds it) with k >= 3, prime
+    by prime if it is multiplicative (_multiplicative_pow), about the cost
+    of one squaring (A1 series to 20000 on a 2-core VM: 6.3 ms, against
+    4.3-25 ms for k = 2..8 by squaring).  A dict, a walk's series, squares.
     """
-    one = base[1:2] == [1] if isinstance(base, list) else base.get(1) == 1
-    if one and k >= 3 and _dense(len(base), bound):
-        _admit(bound + 1)
+    if isinstance(base, list) and k >= 3:
         power = _multiplicative_pow(base, k, bound)
         if power is not None:
             return power
@@ -667,14 +666,15 @@ def _least_prime_parts(powers: list[list[int]], limit: int) -> list[int]:
     return part
 
 
-def _multiplicative_pow(base: Series, k: int, bound: int) -> list[int] | None:
-    """base ** k as a list from its values at prime powers, or None if base
-    is not multiplicative up to bound.
+def _multiplicative_pow(f: list[int], k: int, bound: int) -> list[int] | None:
+    """f ** k as a list from f's values at prime powers, or None if the list
+    f is not multiplicative up to bound.
 
-    With n = m q, q = part[n] (_least_prime_parts), base is multiplicative
-    iff f(n) = f(m) f(q) for all n <= bound (checked to isqrt(bound) first).
-    Then g = f ** k has g(n) = g(m) g(q), and at p^e, from x G' F = k G x F'
-    for the local series G = F ** k,
+    With n = m q, q = part[n] (_least_prime_parts), f is multiplicative iff
+    f(n) = f(m) f(q) for all n <= bound, which also makes f(1) 0 or 1, and
+    f all zero past 1 when f(1) = 0.  Then g = f ** k has g(1) = f(1),
+    g(n) = g(m) g(q), and at p^e, from x G' F = k G x F' for the local
+    series G = F ** k,
 
         e g(p^e) = sum over j = 1..e of ((k + 1) j - e) f(p^j) g(p^(e-j)),
 
@@ -684,12 +684,10 @@ def _multiplicative_pow(base: Series, k: int, bound: int) -> list[int] | None:
     small = list(compress(range(math.isqrt(bound) + 1), _primes(math.isqrt(bound))))
     powers = [[p**e for e in range(1, bound.bit_length()) if p**e <= bound]
               for p in small]
-    f = as_list(base, bound)
-    for limit in (math.isqrt(bound), bound):
-        part = _least_prime_parts(powers, limit)
-        fm = map(f.__getitem__, map(floordiv, range(limit + 1), part))
-        if not all(map(eq, f, map(mul, fm, map(f.__getitem__, part)))):
-            return None
+    part = _least_prime_parts(powers, bound)
+    fm = map(f.__getitem__, map(floordiv, range(bound + 1), part))
+    if not all(map(eq, f, map(mul, fm, map(f.__getitem__, part)))):
+        return None
     local = [k * c for c in f]  # g(q) at every prime power q
     for qs in powers:
         fs, gs = [1, *map(f.__getitem__, qs)], [1]
@@ -699,7 +697,7 @@ def _multiplicative_pow(base: Series, k: int, bound: int) -> list[int] | None:
             ensure(not r, f"the local recurrence divides exactly at {qs[e - 1]}")
             gs.append(ge)
             local[qs[e - 1]] = ge
-    g = [0, 1]
+    g = [0, f[1]]
     for n, q in enumerate(islice(part, 2, None), 2):
         g.append(g[n // q] * local[q])
     return g

@@ -121,11 +121,9 @@ _BRUTE_WITNESS = {
 }
 
 
-def check_efficiency_oracle(include_f4: bool = True) -> None:
+def check_efficiency_oracle() -> None:
     """Brute-force efficiency equals the closed forms, witnesses included."""
     for name, expected_types in sorted(_BRUTE_WITNESS.items()):
-        if name == "F4" and not include_f4:
-            continue
         res = eff_bruteforce(name)
         expected = eff_formula(name)
         ensure(res.eff == expected.eff, f"{name} eff {res.eff}")
@@ -245,13 +243,12 @@ class CheckResult(namedtuple("CheckResult", "title passed detail seconds",
 
 
 def run_checks(fast: bool = False) -> list[CheckResult]:
-    """Run the ledger; fast mode drops the F4 efficiency search and the prime-power scan."""
+    """Run the ledger; fast mode drops the prime-power scan."""
     checks = [
         ("explicit pair values and gcds", check_explicit_values),
         ("polynomials match the dimension formula", check_polynomial_consistency),
         ("smallest divisible dimensions", check_minimal_divisible_dimensions),
-        ("efficiency search agrees with the closed forms",
-         lambda: check_efficiency_oracle(include_f4=not fast)),
+        ("efficiency search agrees with the closed forms", check_efficiency_oracle),
     ]
     if not fast:
         checks.append(("rank-7 adjoint prime-power scan", check_prime_power_scan))

@@ -214,11 +214,33 @@ def test_cache_cut_at_line_boundary_is_a_miss(tmp_path, capsys):
         assert path.read_bytes() == _sealed(fresh.encode())  # recomputed and rewritten
 
 
+def test_cache_line_count_trailer_is_a_miss(tmp_path, monkeypatch, capsys):
+    # a file sealed with a line count before its sha256, as earlier versions
+    # wrote it, is recomputed once and rewritten with the sha256 alone
+    cache = tmp_path / "cache"
+    _, fresh, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "100")
+    body = fresh.encode()
+    path = _cache_path(cache, "A2:sc", "zeta")
+    cache.mkdir()
+    entries = body.count(b"\n") - 1
+    path.write_bytes(body + f"# entries={entries} sha256={hashlib.sha256(body).hexdigest()}\n".encode())
+    computed = []
+    compute = cli.zeta_coefficients
+    monkeypatch.setattr(cli, "zeta_coefficients",
+                        lambda spec, bound: computed.append(bound) or compute(spec, bound))
+    for _ in range(2):
+        code, out, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "100",
+                           "--cache", str(cache))
+        assert (code, out) == (0, fresh)
+        assert path.read_bytes() == _sealed(body)
+    assert computed == [100]  # the second run is a hit
+
+
 def test_cache_trailer_checks_body():
     body = "# weylzeta v1 group=A1:sc variant=zeta maxdim=3\n1\t1\n2\t1\n3\t1\n"
     sealed = _sealed(body.encode()).decode()
     assert sealed.startswith(body)
-    assert sealed[len(body):].startswith("# entries=3 sha256=")
+    assert sealed[len(body):] == f"# sha256={hashlib.sha256(body.encode()).hexdigest()}\n"
     assert _unsealed(sealed.encode()) == body.encode()
     for bad in (body, sealed.replace("2\t1", "2\t2"), sealed[:-2] + "\n",
                 sealed + "4\t1\n", ""):

@@ -25,7 +25,13 @@ from weylzeta.gassmann import (
     twist,
     verify_gassmann,
 )
-from weylzeta.repdegrees import DegreeTable, GroupSpec, class_polynomial, zeta_coefficients
+from weylzeta.repdegrees import (
+    MAX_ENTRIES,
+    DegreeTable,
+    GroupSpec,
+    class_polynomial,
+    zeta_coefficients,
+)
 from weylzeta.rootsys import FamilyRank
 
 import oracles
@@ -215,6 +221,9 @@ def test_dirichlet_rejects_bad_args():
         dirichlet_coeffs(-1, 0, 10)
     with pytest.raises(ValueError):
         dirichlet_coeffs(0, 0, 0)
+    for bound in (10**22, MAX_ENTRIES):  # {1: 1} written out to bound + 1 slots
+        with pytest.raises(ValueError, match="entries"):
+            dirichlet_coeffs(0, 0, bound)
 
 
 # -- quotient spectra -------------------------------------------------------

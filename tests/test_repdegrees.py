@@ -24,6 +24,7 @@ from weylzeta.repdegrees import (
     N_of,
     a1_series,
     allowable,
+    as_list,
     class_polynomial,
     dim_irrep,
     enumerate_dominant,
@@ -1256,9 +1257,9 @@ POWERS = [1, 2, 3, 4, 7, 8, 9, 16, 31, 128]
 @pytest.mark.parametrize("k", POWERS)
 @pytest.mark.parametrize("one", [1, 2, -3, None])
 def test_dirichlet_pow_matches_definition(k, one):
-    # random bases are rarely multiplicative, so a dense one with f(1) = 1
-    # at k >= 3 tries the prime-by-prime path and mostly falls back; the
-    # rest square and multiply; a base may hold keys just past the bound
+    # random bases are rarely multiplicative, so in list form at k >= 3 one
+    # tries the prime-by-prime path and mostly falls back; dicts square and
+    # multiply; a dict may hold keys just past the bound
     rng = random.Random(k * 10 + (one or 0))
     for bound, density in ((1, 1.0), (2, 1.0), (150, 1.0), (150, 0.4), (2000, 0.005)):
         for signed in (False, True):
@@ -1268,9 +1269,11 @@ def test_dirichlet_pow_matches_definition(k, one):
                 base = {1: one, **base}
             if not base:
                 continue
-            got = _dirichlet_pow(base, k, bound)
-            assert as_dict(got) == oracles.dirichlet_pow(base, k, bound), (bound, density, signed)
-            assert list(as_dict(got)) == sorted(as_dict(got))
+            for form in (base, as_list(base, bound)):  # the list drops keys past the bound
+                got = _dirichlet_pow(form, k, bound)
+                want = oracles.dirichlet_pow(as_dict(form), k, bound)
+                assert as_dict(got) == want, (bound, density, signed)
+                assert list(as_dict(got)) == sorted(as_dict(got))
 
 
 def _multiplicative_base(rng, bound, values):
@@ -1302,7 +1305,7 @@ def _spy_multiplicative(monkeypatch):
 @pytest.mark.parametrize("bound", [1, 2, 150, 2000])
 def test_multiplicative_pow_matches_definition(k, bound):
     # values 0 and negative included; the key past the bound breaks
-    # multiplicativity there, which the prime-by-prime path must not read
+    # multiplicativity there, which the list form up to the bound drops
     rng = random.Random(k * 10007 + bound)
     for _ in range(3):
         base = _multiplicative_base(rng, bound, (-3, -1, 0, 1, 2, 5))
@@ -1310,8 +1313,10 @@ def test_multiplicative_pow_matches_definition(k, bound):
         want = oracles.dirichlet_pow(base, k, bound)
         assert as_dict(_dirichlet_pow(base, k, bound)) == want
         # at k = 1 the definition returns the base itself, keys past the bound too
-        assert as_dict(repdegrees._multiplicative_pow(base, k, bound)) == {
-            d: c for d, c in want.items() if d <= bound}
+        cut = {d: c for d, c in want.items() if d <= bound}
+        f = as_list(base, bound)
+        assert as_dict(_dirichlet_pow(f, k, bound)) == cut
+        assert as_dict(repdegrees._multiplicative_pow(f, k, bound)) == cut
 
 
 def _largest_with_two_primes(bound):
@@ -1328,14 +1333,15 @@ def test_dirichlet_pow_falls_back_off_multiplicative(monkeypatch, bound, where):
     base = _multiplicative_base(rng, bound, (-2, 1, 3))
     n = _largest_with_two_primes(bound) if where == "two primes" else 4
     base[n] = base.get(n, 0) + 1
-    got = _dirichlet_pow(base, 7, bound)
+    got = _dirichlet_pow(as_list(base, bound), 7, bound)
     assert as_dict(got) == oracles.dirichlet_pow(base, 7, bound)
     assert calls == [(7, bound, False)]
 
 
 def test_dirichlet_pow_path_rule(monkeypatch):
-    # only dense bases with f(1) = 1, raised to a power k >= 3, try the
-    # prime-by-prime path; multiplicative ones take it, others fall back
+    # only lists (dense by construction), raised to a power k >= 3, try the
+    # prime-by-prime path; multiplicative ones take it, others fall back;
+    # dicts square with no probe
     calls = _spy_multiplicative(monkeypatch)
     odd, even = (a1_series(2000, 2, j) for j in range(2))
     for k in (1, 2):
@@ -1345,7 +1351,12 @@ def test_dirichlet_pow_path_rule(monkeypatch):
         _dirichlet_pow(odd, k, 2000)
     assert calls == [(k, 2000, True) for k in (3, 4, 5, 6, 7, 8, 9, 16, 128)]
     calls.clear()
+    # the even class has f(1) = 0: it falls back at 2; a zero list is
+    # multiplicative, and so is its power
     _dirichlet_pow(even, 128, 2000)
+    assert _dirichlet_pow([0] * 2001, 5, 2000) == [0] * 2001
+    assert calls == [(128, 2000, False), (5, 2000, True)]
+    calls.clear()
     _dirichlet_pow({1: 1, 7: 1, 14: 1, 27: 1, 64: 2, 77: 1}, 128, 10**5)
     zeta_coefficients(GroupSpec.parse("x".join(["G2"] * 8) + ":sc"), 10**5)
     assert calls == []
@@ -1353,8 +1364,11 @@ def test_dirichlet_pow_path_rule(monkeypatch):
     kept = a1_series(2000, 1, 0, _sieve(2000, 4))
     assert 2000 > len(as_dict(kept)) >= 2000 / 64
     _dirichlet_pow(kept, 5, 2000)
-    # A2's class-0 series is dense at 2000 but 10 = 2 * 5 has two weights
+    # A2's class-0 series is dense at 2000 but 10 = 2 * 5 has two weights:
+    # as a dict it squares, as a list it falls back
     dense = as_dict(zeta_coefficients(GroupSpec.parse("A2:adjoint"), 2000).counts)
     assert len(dense) * 64 >= 2000 and dense[10] == 2
     _dirichlet_pow(dense, 7, 2000)
+    assert calls == [(5, 2000, True)]
+    _dirichlet_pow(as_list(dense, 2000), 7, 2000)
     assert calls == [(5, 2000, True), (7, 2000, False)]
