@@ -13,8 +13,11 @@ A1 factors are written in closed form by a1_series, whose strip sieve
 flags the t no prime = 1 mod N divides.  Other factors go through one
 walk, _chains, over stems, the weights whose last coordinate is 0: each
 stem's chain along that coordinate is a product of counts in C.  zeta_star
-refuses a bound at which they lose a weight (_strips).  allowable and
-in_lattice remain as the per-weight definitions.
+refuses a bound at which they lose a weight (_strips).
+
+The per-weight definitions the tests hold the engine to share none of it:
+enumerate_dominant rests on dim_irrep, in_lattice on root-basis
+coordinates, and allowable on trial division.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from collections import Counter, _count_elements, defaultdict, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, count, groupby, islice, repeat, starmap, takewhile, zip_longest
+from itertools import compress, count, islice, repeat, starmap, takewhile, zip_longest
 from operator import add, eq, floordiv, itemgetter, mul, not_
 
 from .rootsys import FamilyRank, RootSystem, build, ensure
@@ -152,22 +155,16 @@ def dim_irrep(R: RootSystem, lam) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
-def _allowed_classes(spec: GroupSpec) -> frozenset:
-    """The class tuples, one center class per factor, in the group's lattice:
-    each factor's zero class for 'sc' (which grades nothing: ()) and
-    'adjoint', or each coset vector's classes."""
-    if spec.kind == "cosets":
-        return frozenset(map(spec._classes, spec.cosets))
-    kind = "sc" if spec.kind == "sc" else "cosets"  # 'adjoint' reads the cosets table
-    return frozenset([tuple(_center_steps(fr, kind)[0][0] for fr in spec.factors)])
-
-
 def in_lattice(spec: GroupSpec, lam) -> bool:
-    """True iff lam lies in the group's weight lattice."""
-    return spec.kind == "sc" or tuple(
-        build(fr).center_class(lam[a:b]) for fr, (a, b) in zip(spec.factors, spec.slices())
-    ) in _allowed_classes(spec)
+    """True iff lam lies in the group's weight lattice: its root-basis
+    coordinates, factor by factor, are all integers ('adjoint') or one of
+    the coset vectors mod 1 ('cosets')."""
+    if spec.kind == "sc":
+        return True
+    coords = tuple(Fraction(x, R.cartan_det) % 1
+                   for R, (a, b) in zip(map(build, spec.factors), spec.slices())
+                   for x in R.root_basis_numerators(lam[a:b]))
+    return not any(coords) if spec.kind == "adjoint" else coords in spec.cosets
 
 
 # -- the factor walk -------------------------------------------------------
@@ -257,26 +254,22 @@ def _chains(fr: FamilyRank, bound: int, kind: str, wanted):
     _admit(MAX_ENTRIES - left)
 
 
-def _factor_spectrum(fr: FamilyRank, bound: int, kind: str):
-    """(dim, class index, lam + rho) for each weight _chains walks, stem by
-    stem, each stem's weights in t order."""
-    coroots = build(fr).coroots
-    simple = [coroots.index(tuple(int(i == j) for j in range(fr.rank)))
-              for i in range(fr.rank - 1)]
-    walk = _chains(fr, bound, kind, range(len(_center_steps(fr, kind)[0])))
-    for v, chains in groupby(walk, itemgetter(0)):
-        stem = [v[j] for j in simple]
-        for t, d, c in sorted((t + k * per, d, c) for _, c, t, per, dims in chains
-                              for k, d in enumerate(dims)):
-            yield d, c, (*stem, t + 1)
-
-
 def enumerate_dominant(spec: GroupSpec, D: int) -> list[tuple[Weight, int]]:
     """All dominant weights of the group with dimension at most D, as
-    (weight, dimension) pairs sorted by dimension then weight."""
+    (weight, dimension) pairs sorted by dimension then weight.  Each factor
+    walks up from 0: raising a coordinate raises the dimension, and raising
+    only coordinates at or after the last one raised reaches each weight once."""
     found = [((), 1)]
     for fr in spec.factors:
-        ws = sorted((d, tuple(x - 1 for x in s)) for d, _, s in _factor_spectrum(fr, D, "sc"))
+        system, ws, stack = build(fr), [], [(1, (0,) * fr.rank, 0)]
+        while stack:
+            d, w, k = stack.pop()
+            ws.append((d, w))
+            for i in range(k, fr.rank):
+                up = (*w[:i], w[i] + 1, *w[i + 1:])
+                if (e := dim_irrep(system, up)) <= D:
+                    stack.append((e, up, i))
+        ws.sort()
         found = [(lam + w, dim * d) for lam, dim in found
                  for d, w in takewhile(lambda dw: dim * dw[0] <= D, ws)]
     return sorted(((lam, d) for lam, d in found if in_lattice(spec, lam)), key=itemgetter(1, 0))
@@ -681,6 +674,8 @@ def _multiplicative_pow(f: list[int], k: int, bound: int) -> list[int] | None:
     one exact division (checked) per power of a prime p <= sqrt(bound);
     past that g(p) = k f(p).
     """
+    if f[1] == 0 and any(f):  # then not multiplicative: no table is needed
+        return None
     small = list(compress(range(math.isqrt(bound) + 1), _primes(math.isqrt(bound))))
     powers = [[p**e for e in range(1, bound.bit_length()) if p**e <= bound]
               for p in small]
@@ -780,10 +775,12 @@ def class_polynomial(spec: GroupSpec) -> Counter:
     frozensets of ((factor, class), power), one per allowed class tuple.  A
     class c stands for min(c, -c mod det C), as duals share degrees and
     gcds; so groups with equal polynomials have equal zeta and zeta_star."""
+    zero = tuple(() if spec.kind == "sc" else (0,) * fr.rank for fr in spec.factors)
+    tuples = map(spec._classes, spec.cosets) if spec.kind == "cosets" else [zero]
     return Counter(  # det C is read only for a class it grades, so never for 'sc'
         frozenset(Counter((fr, min(c, tuple(-x % build(fr).cartan_det for x in c)))
                           for fr, c in zip(spec.factors, classes)).items())
-        for classes in _allowed_classes(spec))
+        for classes in tuples)
 
 
 def _zeta_series(poly, D: int, N: int | None = None, memo=None) -> Series:

@@ -162,26 +162,63 @@ def check_euler_identity() -> None:
     ensure(set(star.counts.values()) == {1})
 
 
+def _code_count(n: int, weights, d: int) -> int:
+    """The weights of SU(2)^n of dimension d whose parity vectors are the words
+    of a binary code, given by the words' Hamming weights.  With d = 2^a m, m
+    odd, the n factors' dimensions share m in tau_n(m) ways, and a word of
+    weight w >= 1 shares 2^a among the w dimensions it makes even, each
+    taking a 2 or more, in C(a - 1, w - 1) ways; the zero word needs a = 0."""
+    a = (d & -d).bit_length() - 1
+    tau, m, p = 1, d >> a, 3
+    while m > 1:  # tau_n(m) from m's prime powers, by trial division
+        if p * p > m:
+            p = m
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        tau *= math.comb(e + n - 1, n - 1)
+        p += 2
+    return tau * sum(math.comb(a - 1, w - 1) if a and w else int(a == w) for w in weights)
+
+
+def _smooth_degrees(bound: int, primes) -> list[int]:
+    """The degrees up to bound whose prime factors are all in primes."""
+    out = [1]
+    for p in primes:
+        for d in out:  # read as it grows, so d p, d p^2, ... in turn
+            if d * p <= bound:
+                out.append(d * p)
+    return out
+
+
 def check_gassmann_pair() -> None:
     """The default twisted pair: equal spectra, inequivalent subgroups."""
     # the reason the spectra agree, apart from the Dirichlet products the
     # two quotients share: equal exponent pairs, so equal class polynomials
     f = build_trace(DEFAULT_TRACE)
     h1, h2 = build_sign_hom(f), build_sign_hom(twist(f, DEFAULT_TWIST))
-    ensure(h1.exponents() == h2.exponents())
+    pairs = h1.exponents()
+    ensure(pairs == h2.exponents())
     ensure(h1.polynomial() == h2.polynomial())
     ensure(h1.n == 128)
     ensure(not perm_equivalent(h1, h2))
     memo = {}  # the tables share their products, as in verify_gassmann
     t1, t2 = (quotient_zeta(h, 10**4, memo).counts for h in (h1, h2))
     ensure(t1 == t2)
-    # apart from the engine: every nonzero image weight is >= 48, so below 2^48
-    # d counts 0 if even, else the ordered 128-tuples of product d (tau_128)
-    ensure(not any(t.get(d) for t in (t1, t2) for d in (2, 4, 6, 1024, 9990)))
-    for e in product(range(9), range(6), range(5)):
-        if (d := 3**e[0] * 5**e[1] * 7**e[2]) <= 10**4:
-            tau = math.prod(math.comb(k + 127, 127) for k in e)
-            ensure(t1.get(d, 0) == tau == t2.get(d, 0), f"degree {d}")
+    # apart from the engine, the closed form of a binary code: every nonzero
+    # image weight is >= 48, so below 2^48 d counts 0 if even, else tau_128(d)
+    weights = [w for _, w in pairs]
+    for d in (2, 4, 6, 1024, 9990, *_smooth_degrees(10**4, (3, 5, 7))):
+        ensure(t1.get(d, 0) == _code_count(128, weights, d) == t2.get(d, 0), f"degree {d}")
+    # and on two small codes: the first cubes the even series by squaring
+    # (it has no term at 1), the second multiplies two distinct lists
+    for text in ("A1xA1xA1:cosets[0,0,0;1/2,1/2,1/2]", "A1xA1:cosets[0,0;0,1/2]"):
+        spec = GroupSpec.parse(text)
+        counts = zeta_coefficients(spec, 1000).counts
+        weights = [sum(map(bool, v)) for v in spec.cosets]
+        for d in _smooth_degrees(1000, (2, 3, 5, 7)):
+            ensure(counts.get(d, 0) == _code_count(len(spec.factors), weights, d),
+                   f"{text} degree {d}")
 
 
 def check_quadratic_rigidity() -> None:

@@ -857,8 +857,7 @@ def test_inverse_cartan_is_eliminated_on_first_read_only(capsys, monkeypatch):
         return lru_cache(maxsize=None)(cached.__wrapped__)
 
     monkeypatch.setattr(rootsys, "_build", fresh(rootsys._build))
-    for name in ("_allowed_classes", "_center_steps"):
-        monkeypatch.setattr(repdegrees, name, fresh(getattr(repdegrees, name)))
+    monkeypatch.setattr(repdegrees, "_center_steps", fresh(repdegrees._center_steps))
     eliminated = []
 
     def counting_echelon(rows):

@@ -5,13 +5,8 @@ check or its expected values, runs every check, and compares the titles
 that FAIL with the expected ones.  The first two faults hit the two sides of
 a comparison alike: the equal-spectrum pair's two tables share their
 products, and the Euler identity's two sides come from one engine.  So only
-the pair's closed form, tau_128 at fixed degrees, catches them.
-
-Two faults pass all ten checks: squaring that stops at base^(k-1) for an
-odd k off the prime-by-prime path, and a _sliced_mul that loses its second
-half (the terms of a list a past isqrt(bound)).  The ledger raises no series
-to an odd power by squaring and multiplies no two distinct lists; the
-differential tests of the Dirichlet layer in test_repdegrees.py catch both.
+the closed form of a binary code's quotient of SU(2)^n, at fixed degrees,
+catches them.
 """
 
 import json
@@ -63,7 +58,7 @@ def patched(a, b, bound):
     if (last := max((d for d, c in terms if c), default=None)) is not None:
         out[last] = 0
     return out
-""", [EULER]),
+""", [EULER, PAIR]),
     # a strip sieve that strips nothing
     "_sieve": ("""
 def patched(limit, N):
@@ -86,6 +81,23 @@ def patched(fr, bound, kind, wanted):
         if dims := [d for d in dims if d % 7]:
             yield v, c, t, per, dims
 """, ["smallest divisible dimensions"]),
+    # odd-k squaring off the prime-by-prime path that stops at base^(k-1)
+    "_dirichlet_pow": ("""
+def patched(base, k, bound):
+    if k % 2 and k > 1 and (not isinstance(base, list)
+                            or repdegrees._multiplicative_pow(base, k, bound) is None):
+        k -= 1
+    return real(base, k, bound)
+""", [PAIR]),
+    # a product into a list without its second half: the terms of a list a
+    # past isqrt(bound)
+    "_sliced_mul": ("""
+import math
+def patched(out, a, b, bound, square):
+    if isinstance(a, list) and not square:
+        a = {i: c for i, c in enumerate(a[:math.isqrt(bound) + 1]) if c}
+    return real(out, a, b, bound, square)
+""", [PAIR]),
     # a product of two dicts one too large at its least degree
     "_pair_loop": ("""
 def patched(a, b, bound, square):

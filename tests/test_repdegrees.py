@@ -36,12 +36,10 @@ from weylzeta.repdegrees import (
     zeta_star_coefficients,
 )
 from weylzeta.repdegrees import (
-    _allowed_classes,
     _center_steps,
     _chains,
     _dirichlet_mul,
     _dirichlet_pow,
-    _factor_spectrum,
     _iroot,
     _sieve,
     _smooth,
@@ -507,7 +505,7 @@ def _allowable_by_definition(spec, lam):
 
 @pytest.mark.parametrize("text,bound", ENGINE_CASES)
 def test_lattice_and_allowability_match_definitions(text, bound):
-    # the engine and the reference above share these two rules; check them
+    # the enumeration reference above filters by these two rules; check them
     # on the weights of the simply connected cover against their definitions
     spec = GroupSpec.parse(text)
     for lam, _ in enumerate_dominant(GroupSpec(spec.factors), bound // 3):
@@ -531,6 +529,18 @@ def test_engine_zeta_star_strips_products():
 A1 = FamilyRank("A", 1)
 
 
+def _walked(fr, bound, kind, wanted):
+    """(lam, dim, class index) for each weight in the chains _chains yields."""
+    system = build(fr)
+    simple = [system.coroots.index(tuple(int(i == j) for j in range(fr.rank)))
+              for i in range(fr.rank - 1)]
+    out = []
+    for v, c, t, per, dims in _chains(fr, bound, kind, wanted):
+        stem = tuple(v[j] - 1 for j in simple)
+        out += [((*stem, t + k * per), d, c) for k, d in enumerate(dims)]
+    return out
+
+
 @pytest.mark.parametrize("N", [None, 2, 24])
 @pytest.mark.parametrize("kind", ["sc", "adjoint", "cosets"])
 def test_a1_series_matches_walk(kind, N):
@@ -541,8 +551,8 @@ def test_a1_series_matches_walk(kind, N):
     for bound in [0, 1, 2, 3] + [rng.randint(4, 5000) for _ in range(8)]:
         keep = _sieve(bound, N) if N else None
         expect = [{} for _ in classes]
-        for d, c, shifted in _factor_spectrum(A1, bound, kind):
-            if keep is None or keep[math.gcd(*shifted)]:
+        for lam, d, c in _walked(A1, bound, kind, range(len(classes))):
+            if keep is None or keep[math.gcd(*(x + 1 for x in lam))]:
                 expect[c][d] = expect[c].get(d, 0) + 1
         got = [a1_series(bound, len(classes), j, keep) for j in range(len(classes))]
         assert [as_dict(s) for s in got] == expect, bound
@@ -640,8 +650,12 @@ def test_graded_product_memo_matches_definition(bound):
 
 
 def _unmerged(spec):
-    """The class polynomial before each class is merged with its dual."""
-    return _tuple_polynomial(spec.factors, _allowed_classes(spec))
+    """The class polynomial of a cosets group before each class is merged
+    with its dual: a class tuple per coset vector, each block times det C."""
+    dets = [build(fr).cartan_det for fr in spec.factors]
+    return _tuple_polynomial(spec.factors, [
+        tuple(tuple(int(x * d) for x in v[a:b]) for d, (a, b) in zip(dets, spec.slices()))
+        for v in spec.cosets])
 
 
 # Each A2 factor of one group is the other's conjugate: X and X' differ by
@@ -757,25 +771,20 @@ def _weight_box(system, bound):
 
 @pytest.mark.parametrize("fr,bound", WALK_CASES, ids=lambda x: str(x))
 def test_walk_matches_brute_force(fr, bound):
+    # the definition's walk up from 0, and its lattice rule on the adjoint
+    # group, against the box and the center classes
     system = build(fr)
-    expect = sorted((d, lam) for lam in _weight_box(system, bound)
+    expect = sorted((lam, d) for lam in _weight_box(system, bound)
                     if (d := dim_irrep(system, lam)) <= bound)
-    classes = _center_steps(fr, "adjoint")[0]
-    got = []
-    for d, c, shifted in _factor_spectrum(fr, bound, "adjoint"):
-        lam = tuple(x - 1 for x in shifted)
-        assert classes[c] == system.center_class(lam), lam
-        got.append((d, lam))
-    assert sorted(got) == expect
-    sc = [(d, c, tuple(s)) for d, c, s in _factor_spectrum(fr, bound, "sc")]
-    assert [(d, tuple(x - 1 for x in s)) for d, _, s in sc] == got
-    assert {c for _, c, _ in sc} == {0} and _center_steps(fr, "sc")[0] == ((),)
+    assert sorted(enumerate_dominant(GroupSpec((fr,)), bound)) == expect
+    adjoint = [(lam, d) for lam, d in expect if not any(system.center_class(lam))]
+    assert sorted(enumerate_dominant(GroupSpec((fr,), "adjoint"), bound)) == adjoint
 
 
 def test_walk_respects_tiny_bounds():
     for fr in (FamilyRank("A", 1), FamilyRank("E", 8)):
-        assert list(_factor_spectrum(fr, 0, "sc")) == []
-        assert [(d, list(s)) for d, _, s in _factor_spectrum(fr, 1, "sc")] == [
+        assert _walked(fr, 0, "sc", {0}) == []
+        assert [(d, [x + 1 for x in lam]) for lam, d, _ in _walked(fr, 1, "sc", {0})] == [
             (1, [1] * fr.rank)]
 
 
@@ -785,17 +794,12 @@ def _check_chains(fr, bound):
     system = build(fr)
     box = [(lam, d) for lam in _weight_box(system, bound)
            if (d := dim_irrep(system, lam)) <= bound]
-    simple = [system.coroots.index(tuple(int(i == j) for j in range(fr.rank)))
-              for i in range(fr.rank - 1)]
     for kind in ("sc", "adjoint", "cosets"):
         classes = _center_steps(fr, kind)[0]
         index = {lam: classes.index(() if kind == "sc" else system.center_class(lam))
                  for lam, _ in box}
         for wanted in [range(len(classes))] + [{c} for c in range(len(classes))]:
-            got = []
-            for v, c, t, per, dims in _chains(fr, bound, kind, wanted):
-                stem = tuple(v[j] - 1 for j in simple)
-                got += [((*stem, t + k * per), d, c) for k, d in enumerate(dims)]
+            got = _walked(fr, bound, kind, wanted)
             expect = [(lam, d, index[lam]) for lam, d in box if index[lam] in wanted]
             assert sorted(got) == sorted(expect), (kind, wanted)
 
@@ -1336,6 +1340,22 @@ def test_dirichlet_pow_falls_back_off_multiplicative(monkeypatch, bound, where):
     got = _dirichlet_pow(as_list(base, bound), 7, bound)
     assert as_dict(got) == oracles.dirichlet_pow(base, 7, bound)
     assert calls == [(7, bound, False)]
+
+
+def test_multiplicative_pow_refuses_f1_zero_before_its_table(monkeypatch):
+    # A1's even class has f(1) = 0 and f(2) = 1, so it is not multiplicative,
+    # which is known before the table of least prime parts is built; an
+    # all-zero list still goes through the probe
+    calls = []
+    real = repdegrees._least_prime_parts
+    monkeypatch.setattr(repdegrees, "_least_prime_parts",
+                        lambda powers, limit: calls.append(limit) or real(powers, limit))
+    even = a1_series(2000, 2, 1)
+    assert repdegrees._multiplicative_pow(even, 3, 2000) is None
+    assert as_dict(_dirichlet_pow(even, 3, 2000)) == oracles.dirichlet_pow(as_dict(even), 3, 2000)
+    assert calls == []
+    assert repdegrees._multiplicative_pow([0] * 2001, 3, 2000) == [0] * 2001
+    assert calls == [2000]
 
 
 def test_dirichlet_pow_path_rule(monkeypatch):

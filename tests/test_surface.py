@@ -36,10 +36,13 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def _references(path: Path) -> set[str]:
+def _names(tree: ast.AST) -> set[str]:
     return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(ast.parse(path.read_text(), str(path)))
-            if isinstance(node, (ast.Name, ast.Attribute))}
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _references(path: Path) -> set[str]:
+    return _names(ast.parse(path.read_text(), str(path)))
 
 
 def _traced() -> set[tuple[str, str]]:
@@ -71,3 +74,27 @@ def test_scan_lists_functions_classes_and_methods():
 
 def test_public_names_resolve():
     assert [name for name in weylzeta.__all__ if not hasattr(weylzeta, name)] == []
+
+
+# The per-weight definitions the spectrum engine is tested against, and the
+# engine's pieces: a fault in one must not reach the other
+DEFINITIONS = ["enumerate_dominant", "in_lattice", "allowable"]
+ENGINE = {"_chains", "_columns", "_center_steps", "_allowed_classes", "_factor_spectrum",
+          "class_polynomial", "_zeta_series", "a1_series", "_sieve", "_strips"}
+
+
+def test_definitions_share_no_code_with_the_engine():
+    # the bodies of the definitions, and of every function of repdegrees
+    # they call in turn, name none of the engine's pieces
+    tree = ast.parse((SRC / "repdegrees.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, seen, named = list(DEFINITIONS), set(), set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            names = set().union(*map(_names, functions[name].body))
+            named |= names
+            todo += sorted(names & functions.keys())
+    assert sorted(named & ENGINE) == []
+    assert {"dim_irrep", "_stripped", "_prime_divisors"} <= seen
