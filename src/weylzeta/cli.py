@@ -9,7 +9,8 @@ COMMANDS without argparse, which is imported, and its parsers built, only
 for help and errors; each group text is parsed once per process.
 A cache file is named from the group, its stem cut to 200 characters, and
 an 8-hex sha256 tag of the full name; the header check turns a collision
-into a miss.
+into a miss.  The cache path is a plain os.path string, joined to the
+directory as given.
 
 Exit codes: 0 on success (and on an all-PASS ledger), 1 when a
 verification fails, 2 on usage errors including malformed group
@@ -24,7 +25,6 @@ import hashlib
 import os
 import re
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .efficiency import compare as compare_efficiency
@@ -91,18 +91,17 @@ def _require_rank(values: tuple[int, ...], rank: int, what: str) -> None:
 # -- coefficient cache -----------------------------------------------------
 
 
-def _cache_dir(args) -> Path | None:
-    path = args.cache or os.environ.get(CACHE_ENV)
-    return Path(path) if path else None
+def _cache_dir(args) -> str | None:
+    return args.cache or os.environ.get(CACHE_ENV) or None
 
 
-def _cache_path(directory: Path, canonical: str, variant: str) -> Path:
+def _cache_path(directory: str, canonical: str, variant: str) -> str:
     # the stem is cut to 200 characters so that the name and its temporary
     # sibling, at most 36 bytes longer than the stem, fit in 255 bytes; the
     # tag of the whole name tells apart keys whose cut stems agree
     stem = re.sub(r"[^A-Za-z0-9]+", "_", canonical).strip("_")[:200]
     tag = hashlib.sha256(canonical.encode()).hexdigest()[:8]
-    return directory / f"{stem}-{tag}.{variant}.tsv"
+    return os.path.join(directory, f"{stem}-{tag}.{variant}.tsv")
 
 
 def _trailer(body: bytes) -> bytes:
@@ -149,25 +148,34 @@ def _served(body: bytes, canonical: str, variant: str, bound: int) -> str:
 
 
 def _cached_text(spec: GroupSpec, variant: str, bound: int,
-                 directory: Path | None) -> str:
+                 directory: str | None) -> str:
     fn = zeta_coefficients if variant == "zeta" else zeta_star_coefficients
     if directory is None:
         return fn(spec, bound).to_text()
     canonical = spec.canonical()
     path = _cache_path(directory, canonical, variant)
     try:
-        return _served(_unsealed(path.read_bytes()), canonical, variant, bound)
+        with open(path, "rb") as f:
+            return _served(_unsealed(f.read()), canonical, variant, bound)
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         pass
     text = fn(spec, bound).to_text()
     data = text.encode()
-    # write beside the target and rename, so no reader sees half a table
-    directory.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.write(_trailer(data))
-    os.replace(tmp, path)
+    # write beside the target and rename, so no reader sees half a table;
+    # a write or rename that fails takes its temporary file with it
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.write(_trailer(data))
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:  # never made
+            pass
+        raise
     return text
 
 
@@ -204,7 +212,8 @@ def _print_table(args, variant: str) -> int:
         raise ValueError("--max-dim must be positive")
     text = _cached_text(spec, variant, args.max_dim, _cache_dir(args))
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
     return 0

@@ -182,7 +182,7 @@ def test_cache_reads_only_its_own_file(tmp_path, capsys):
     _, fresh, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "20")
     cache = tmp_path / "cache"
     cache.mkdir()
-    canonical = _cache_path(cache, "A2:sc", "zeta")
+    canonical = Path(_cache_path(cache, "A2:sc", "zeta"))
     canonical.write_bytes(b"\xff\xfe not a table")
     # a well-formed table for the same key under a foreign name is not read
     foreign = "# weylzeta v1 group=A2:sc variant=zeta maxdim=50\n3\t99\n"
@@ -201,7 +201,7 @@ def test_cache_cut_at_line_boundary_is_a_miss(tmp_path, capsys):
     cache = tmp_path / "cache"
     _, fresh, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "1000",
                       "--cache", str(cache))
-    path = _cache_path(cache, "A2:sc", "zeta")
+    path = Path(_cache_path(cache, "A2:sc", "zeta"))
     lines = path.read_text().splitlines(keepends=True)
     assert len(lines) == len(fresh.splitlines()) + 1  # the trailer
     for keep in (10, len(lines) - 1):
@@ -220,7 +220,7 @@ def test_cache_line_count_trailer_is_a_miss(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"
     _, fresh, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "100")
     body = fresh.encode()
-    path = _cache_path(cache, "A2:sc", "zeta")
+    path = Path(_cache_path(cache, "A2:sc", "zeta"))
     cache.mkdir()
     entries = body.count(b"\n") - 1
     path.write_bytes(body + f"# entries={entries} sha256={hashlib.sha256(body).hexdigest()}\n".encode())
@@ -258,7 +258,7 @@ def test_cache_header_must_name_the_key(tmp_path, capsys, command, group, key):
     _, fresh, _ = run(capsys, command, "--group", group, "--max-dim", "40")
     run(capsys, "zeta", "--group", key[0], "--max-dim", "80", "--cache", str(cache))
     [other] = cache.iterdir()
-    path = _cache_path(cache, "A2:sc", command.replace("-", "_"))
+    path = Path(_cache_path(cache, "A2:sc", command.replace("-", "_")))
     other.rename(path)
     code, out, _ = run(capsys, command, "--group", group, "--max-dim", "40",
                        "--cache", str(cache))
@@ -276,7 +276,7 @@ def test_cache_malformed_row_is_a_miss(tmp_path, capsys, row, where):
     # the requested bound, is recomputed and rewritten, never a traceback
     cache = tmp_path / "cache"
     run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "20", "--cache", str(cache))
-    path = _cache_path(cache, "A2:sc", "zeta")
+    path = Path(_cache_path(cache, "A2:sc", "zeta"))
     body = _unsealed(path.read_bytes()).decode()
     assert f"\n{where}\n" in body
     path.write_bytes(_sealed(body.replace(f"\n{where}\n", f"\n{row}\n").encode()))
@@ -340,7 +340,7 @@ def test_cache_cut_at_digit_length_edges(tmp_path, capsys, monkeypatch, command,
 def test_cache_undecodable_byte_is_a_miss(tmp_path, capsys, old, new):
     cache = tmp_path / "cache"
     run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "20", "--cache", str(cache))
-    path = _cache_path(cache, "A2:sc", "zeta")
+    path = Path(_cache_path(cache, "A2:sc", "zeta"))
     body = _unsealed(path.read_bytes())
     assert body.count(old) == 1
     path.write_bytes(_sealed(body.replace(old, new)))
@@ -364,6 +364,56 @@ def test_cache_long_group_name(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "zeta_coefficients", None)  # a hit computes nothing
     assert run(capsys, "zeta", "--group", group, "--max-dim", "30",
                "--cache", str(cache)) == (0, fresh, "")
+
+
+_SU3_CODE = su3_code_group(su3_code_words())
+
+
+@pytest.mark.parametrize("canonical, variant, name", [
+    ("A2:sc", "zeta", "A2_sc-b2ac3e30.zeta.tsv"),
+    ("A1xA1:cosets[0,0;1/2,1/2]", "zeta_star",
+     "A1xA1_cosets_0_0_1_2_1_2-11fc44d2.zeta_star.tsv"),
+    (_SU3_CODE, "zeta",
+     "A2xA2xA2xA2xA2xA2xA2_cosets_0_0_0_0_0_0_0_0_0_0_0_0_0_0_0_0_0_0_1_3_2_3_0_0_1_3"
+     "_2_3_1_3_2_3_2_3_1_3_0_0_0_0_2_3_1_3_0_0_2_3_1_3_2_3_1_3_1_3_2_3_0_0_1_3_2_3_0_0"
+     "_1_3_2_3_0_0_1_3_2_3_1_3_2_3_0_0_1_3_2_3_-217f6504.zeta.tsv"),
+], ids=["A2:sc", "cosets", "su3_code"])
+def test_cache_file_names_are_pinned(canonical, variant, name):
+    # names written by earlier versions, so that existing cache directories keep hitting
+    assert _parse_group(canonical).canonical() == canonical
+    for directory in ("d", "d/", "a/b/d"):
+        assert os.path.basename(_cache_path(directory, canonical, variant)) == name
+
+
+def test_cache_directory_spellings_share_one_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _, fresh, _ = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "50")
+    computed = []
+    compute = cli.zeta_coefficients
+    monkeypatch.setattr(cli, "zeta_coefficients",
+                        lambda spec, bound: computed.append(bound) or compute(spec, bound))
+    for spelling in ("c", "c/", "c//", "./c"):
+        assert run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "50",
+                   "--cache", spelling) == (0, fresh, ""), spelling
+    assert computed == [50]  # the first request computes, the other three hit
+    assert os.listdir("c") == ["A2_sc-b2ac3e30.zeta.tsv"]
+
+
+@pytest.mark.parametrize("fails", ["write", "replace"])
+def test_cache_failed_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch, fails):
+    def full(*args):
+        raise OSError(28, "No space left on device")
+
+    if fails == "write":
+        monkeypatch.setattr(cli, "_trailer", full)  # the second write of the file
+    else:
+        monkeypatch.setattr(cli.os, "replace", full)
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, "zeta", "--group", "A2:sc", "--max-dim", "10",
+                         "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert os.listdir(cache) == []
 
 
 def test_parser_reused_across_calls(tmp_path, capsys):

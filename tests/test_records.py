@@ -120,3 +120,25 @@ def test_well_formed_command_line_loads_no_argparse():
     assert table == "# weylzeta v1 group=A1:sc variant=zeta maxdim=5\n" + "".join(
         f"{d}\t1\n" for d in range(1, 6))
     assert usage
+
+
+def test_cache_and_out_load_no_pathlib(tmp_path):
+    # the cache path and --out are plain strings; pathlib would bring
+    # urllib.parse and fnmatch with it
+    cache, out = tmp_path / "cache", tmp_path / "table.tsv"
+    program = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import weylzeta.cli as cli\n"
+               "argv = ['zeta', '--group', 'A2:sc', '--max-dim', '20']\n"
+               f"codes = [cli.main(argv + ['--out', {str(out)!r}])]\n"
+               f"codes.append(cli.main(argv + ['--cache', {str(cache)!r}]))\n"
+               "cli.zeta_coefficients = None  # the second request must hit\n"
+               f"codes.append(cli.main(argv + ['--cache', {str(cache)!r}]))\n"
+               "print(codes, sorted({'pathlib', 'urllib.parse', 'fnmatch'} & set(sys.modules)),\n"
+               "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", program],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr == "[0, 0, 0] []\n"
+    [name] = (p.name for p in cache.iterdir())
+    assert name == "A2_sc-b2ac3e30.zeta.tsv"
+    table = out.read_text()
+    assert table.startswith("# weylzeta v1 group=A2:sc variant=zeta maxdim=20\n")
+    assert proc.stdout == 2 * table
