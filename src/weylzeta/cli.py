@@ -1,16 +1,14 @@
 """Command-line surface: spectra, polynomials, efficiency, verification.
 
-A --cache hit works on the file's bytes: one sha256 pass over the body
-checks the trailer, only the header line is decoded and matched, byte
-scans in C check every row's grammar, and the cut at the bound is found
-by bisecting line offsets, so only the served rows are decoded and no
-table is parsed.  A well-formed command line is read from the option table
-COMMANDS without argparse, which is imported, and its parsers built, only
-for help and errors; each group text is parsed once per process.
+This module owns the cache file, not the table text in it: a --cache hit
+checks the file's sha256 trailer in one pass over its bytes, and
+DegreeTable.served checks the table and cuts it at the bound unparsed.
 A cache file is named from the group, its stem cut to 200 characters, and
 an 8-hex sha256 tag of the full name; the header check turns a collision
 into a miss.  The cache path is a plain os.path string, joined to the
-directory as given.
+directory as given.  A well-formed command line is read from the option
+table COMMANDS without argparse, which is imported, and its parsers built,
+only for help and errors; each group text is parsed once per process.
 
 Exit codes: 0 on success (and on an all-PASS ledger), 1 when a
 verification fails, 2 on usage errors including malformed group
@@ -111,40 +109,13 @@ def _trailer(body: bytes) -> bytes:
 def _unsealed(data: bytes) -> bytes:
     """The table bytes of a cache file; ValueError unless its trailer matches.
 
-    A file cut short, even at a line boundary, loses or breaks the trailer.
+    The trailer is the last 74 bytes: "# sha256=", 64 hex digits and a
+    newline.  A file cut short, even at a line boundary, loses or breaks it.
     """
-    cut = data.rfind(b"\n", 0, len(data) - 1) + 1
-    body = data[:cut]
-    if data[cut:] != _trailer(body):
+    body = data[:-74]
+    if data[-74:] != _trailer(body):
         raise ValueError("cache file has no matching trailer")
     return body
-
-
-def _served(body: bytes, canonical: str, variant: str, bound: int) -> str:
-    """The stored table (rows sorted by dimension) cut at bound, as text.
-
-    ValueError unless the header covers the request and every row is
-    <digits>\t<digits>: deleting the digits leaves only tab-newline pairs,
-    and no tab touches a line boundary. The cut is found by bisecting byte
-    offsets, each probe moved back to the start of its line, so only the
-    probed rows' dimensions are parsed and only the served rows decoded.
-    """
-    head = body.index(b"\n") + 1
-    m = DegreeTable._HEADER.match(body[:head - 1].decode("ascii"))
-    rows = body[head:]
-    marks = rows.translate(None, b"0123456789")
-    if not (m and m[1] == canonical and m[2] == variant and int(m[3]) >= bound
-            and marks == b"\t\n" * (len(marks) // 2)
-            and b"\t\n" not in rows and body.find(b"\n\t", head - 1) < 0):
-        raise ValueError("cache file does not hold the requested table")
-    lo, hi = head, len(body)  # rows before lo are kept, rows from hi are not
-    while lo < hi:
-        start = body.rfind(b"\n", lo - 1, (lo + hi) // 2) + 1
-        if int(body[start:body.index(b"\t", start)]) > bound:
-            hi = start
-        else:
-            lo = body.index(b"\n", start) + 1
-    return DegreeTable.header(canonical, variant, bound) + body[head:lo].decode("ascii")
 
 
 def _cached_text(spec: GroupSpec, variant: str, bound: int,
@@ -156,7 +127,7 @@ def _cached_text(spec: GroupSpec, variant: str, bound: int,
     path = _cache_path(directory, canonical, variant)
     try:
         with open(path, "rb") as f:
-            return _served(_unsealed(f.read()), canonical, variant, bound)
+            return DegreeTable.served(_unsealed(f.read()), canonical, variant, bound)
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         pass
     text = fn(spec, bound).to_text()
@@ -206,10 +177,11 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-def _print_table(args, variant: str) -> int:
+def _print_table(args) -> int:
     spec = _parse_group(args.group)
     if args.max_dim < 1:
         raise ValueError("--max-dim must be positive")
+    variant = args.command.replace("-", "_")
     text = _cached_text(spec, variant, args.max_dim, _cache_dir(args))
     if args.out:
         with open(args.out, "w") as f:
@@ -217,14 +189,6 @@ def _print_table(args, variant: str) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _cmd_zeta(args) -> int:
-    return _print_table(args, "zeta")
-
-
-def _cmd_zeta_star(args) -> int:
-    return _print_table(args, "zeta_star")
 
 
 def _cmd_weylpoly(args) -> int:
@@ -320,8 +284,8 @@ COMMANDS = {
         ("--type", str, True, "F<n>", None),
         ("--weight", str, True, "a1,..,an", None),
     )),
-    "zeta": ("degree counts (zeta) up to a bound", _cmd_zeta, _TABLE_OPTIONS),
-    "zeta-star": ("degree counts (zeta_star) up to a bound", _cmd_zeta_star, _TABLE_OPTIONS),
+    "zeta": ("degree counts (zeta) up to a bound", _print_table, _TABLE_OPTIONS),
+    "zeta-star": ("degree counts (zeta_star) up to a bound", _print_table, _TABLE_OPTIONS),
     "weylpoly": ("dimension polynomial of a weight pair", _cmd_weylpoly, (
         ("--type", str, True, "F<n>", None),
         ("--mu", str, False, "a1,..,an", "with --nu, replaces the built-in pair"),

@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import getitem
 
-from ._linalg import annihilator, echelon
+from ._linalg import annihilator
 from .rootsys import FamilyRank, RootSystem, Subsystem, build, closure
 
 # The pair search admits systems no larger than E7; listing closed
@@ -211,9 +211,10 @@ def coxeter_bound(system: RootSystem, sub: Subsystem) -> Fraction:
     if sub.parent is not system:
         raise ValueError("subsystem does not belong to this root system")
     rows = [system.root_coords[i] for i in sorted(sub.pos_indices)]
-    if len(echelon(rows)[1]) != system.rank - 1:
+    forms = annihilator(rows, system.rank)  # one form exactly when the rank is n - 1
+    if len(forms) != 1:
         raise ValueError("subsystem must span a hyperplane of the root space")
-    (form,) = annihilator(rows, system.rank)
+    (form,) = forms
     values = [
         abs(sum(f * x for f, x in zip(form, coords)))
         for i, coords in enumerate(system.root_coords)

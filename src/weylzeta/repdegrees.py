@@ -2,7 +2,9 @@
 
 A group is a product of irreducible factors with a weight lattice between
 the root lattice and the full weight lattice.  A spectrum counts
-irreducible representations by dimension up to a bound, exactly.
+irreducible representations by dimension up to a bound, exactly.  A
+DegreeTable holds one and owns its text: to_text writes it, and from_text
+and served (a --cache hit) read it through one check of its grammar.
 
 Every spectrum, gassmann's included, evaluates a class polynomial: each
 factor's degrees are counted once per center class it names, and one
@@ -528,18 +530,44 @@ class DegreeTable(namedtuple("DegreeTable", "group variant bound counts")):
         return "".join(chunks)
 
     @classmethod
+    def _rows(cls, body: bytes) -> tuple[re.Match, int]:
+        """The header's match and the offset of the rows, each <digits>\t<digits>\n
+        or ValueError: deleting the digits leaves only tab-newline pairs, no tab
+        touches a line boundary, and the body ends a line."""
+        head = body.index(b"\n") + 1
+        m = cls._HEADER.match(body[:head - 1].decode("ascii"))
+        rows = body[head:]
+        marks = rows.translate(None, b"0123456789")
+        if not (m and marks == b"\t\n" * (len(marks) // 2) and body.endswith(b"\n")
+                and b"\t\n" not in rows and body.find(b"\n\t", head - 1) < 0):
+            raise ValueError("not a degree table")
+        return m, head
+
+    @classmethod
     def from_text(cls, text: str) -> "DegreeTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty degree table")
-        m = cls._HEADER.match(lines[0])
-        if not m:
-            raise ValueError(f"bad degree-table header: {lines[0]!r}")
-        counts = {}
-        for ln in lines[1:]:
-            d, c = ln.split("\t")
-            counts[int(d)] = int(c)
-        return cls(m.group(1), m.group(2), int(m.group(3)), counts)
+        """The table whose to_text is text; ValueError unless _rows reads it."""
+        body = text.encode()
+        m, head = cls._rows(body)
+        fields = map(int, body[head:].split())
+        return cls(m[1], m[2], int(m[3]), dict(zip(fields, fields)))
+
+    @classmethod
+    def served(cls, body: bytes, group: str, variant: str, bound: int) -> str:
+        """The text of the table in body (rows sorted by dimension) cut at bound;
+        ValueError unless _rows reads body and the header names group and variant
+        up to at least bound.  The cut bisects byte offsets, each probe moved to
+        its line's start, so it parses only probed dimensions and decodes no more."""
+        m, head = cls._rows(body)
+        if not (m[1] == group and m[2] == variant and int(m[3]) >= bound):
+            raise ValueError("the table does not cover the request")
+        lo, hi = head, len(body)  # rows before lo are kept, rows from hi are not
+        while lo < hi:
+            start = body.rfind(b"\n", lo - 1, (lo + hi) // 2) + 1
+            if int(body[start:body.index(b"\t", start)]) > bound:
+                hi = start
+            else:
+                lo = body.index(b"\n", start) + 1
+        return cls.header(group, variant, bound) + body[head:lo].decode("ascii")
 
 
 # -- center-graded Dirichlet convolution -----------------------------------

@@ -273,6 +273,8 @@ def _reduce_to_dominant(system: RootSystem, vec) -> Weight:
 
 def weyl_orbit_equal(system: RootSystem, v1, v2) -> bool:
     """True iff v1 and v2 lie in the same (unshifted) Weyl orbit."""
+    if len(v1) != system.rank or len(v2) != system.rank:
+        raise ValueError(f"vectors {v1} and {v2} need {system.rank} coordinates each")
     return _reduce_to_dominant(system, v1) == _reduce_to_dominant(system, v2)
 
 
@@ -371,6 +373,8 @@ def closure(system, mask: int) -> int:
 
 def orthogonal_subsystem(system: RootSystem, v) -> Subsystem:
     """Roots whose coroots pair to zero with the weight v."""
+    if len(v) != system.rank:
+        raise ValueError(f"weight {v} needs {system.rank} coordinates")
     idx = frozenset(
         i for i in range(system.num_positive) if system.pair(i, v) == 0
     )

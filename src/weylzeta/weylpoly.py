@@ -36,6 +36,8 @@ class ExplicitPair(namedtuple("ExplicitPair", "id mu nu")):
 
 
 def weyl_polynomial(R: RootSystem, mu, nu) -> WeylPolynomial:
+    if len(mu) != R.rank or len(nu) != R.rank:
+        raise ValueError(f"weights {mu} and {nu} need {R.rank} coordinates each")
     a, b = list(mu), [v + 1 for v in nu]
     for p, j in R.coroot_chain:  # the pairings of every positive coroot
         a.append(a[p] + a[j])

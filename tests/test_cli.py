@@ -607,7 +607,7 @@ def test_quick_reads_well_formed_lines_only():
             ["verify-paper", "--json", "--json"], ["verify-paper"],
             ["efficiency", "--brute-force", "--type", "E6"]]
     assert [vars(_quick(argv)) for argv in read] == [
-        {"command": "zeta", "func": cli._cmd_zeta, "group": "A1:sc", "max_dim": 7,
+        {"command": "zeta", "func": cli._print_table, "group": "A1:sc", "max_dim": 7,
          "out": None, "cache": None},
         {"command": "verify-paper", "func": cli._cmd_verify, "fast": False, "json": True},
         {"command": "verify-paper", "func": cli._cmd_verify, "fast": False, "json": False},

@@ -277,8 +277,10 @@ def test_coxeter_bound_b2_by_hand():
 
 
 def test_coxeter_bound_rejects_wrong_rank():
+    # a span of rank 1 and one of rank 3 leave two forms and none, not one
     a3 = build("A3")
-    with pytest.raises(ValueError):
-        coxeter_bound(a3, orthogonal_subsystem(a3, (1, 1, 0)))
-    with pytest.raises(ValueError):
+    for sub in (orthogonal_subsystem(a3, (1, 1, 0)), Subsystem(a3, frozenset(range(6)))):
+        with pytest.raises(ValueError, match="^subsystem must span a hyperplane"):
+            coxeter_bound(a3, sub)
+    with pytest.raises(ValueError, match="^subsystem does not belong"):
         coxeter_bound(a3, Subsystem(build("A4"), frozenset({0, 1})))

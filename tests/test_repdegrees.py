@@ -435,6 +435,26 @@ def test_recover_factor_sizes_from_spectrum():
     assert recover_factor_sizes(coeffs) == [1, 1]
 
 
+@pytest.mark.parametrize("row", [
+    "", " 3\t2", "3\t 2", "3 \t2", "-3\t2", "+3\t2", "1_5\t2", "3\t2\r", "3\tx",
+    "3\t2\t1", "3", "\t2", "3\t",
+], ids=repr)
+def test_degree_table_refuses_rows_it_never_writes(row):
+    # from_text reads what to_text writes: a blank, a sign, a digit
+    # separator, a carriage return or a missing field is refused
+    written = zeta_coefficients(GroupSpec.parse("A2:sc"), 20).to_text()
+    assert "\n3\t2\n" in written
+    with pytest.raises(ValueError):
+        DegreeTable.from_text(written.replace("\n3\t2\n", f"\n{row}\n"))
+
+
+def test_degree_table_refuses_a_text_that_does_not_end_a_line():
+    written = zeta_coefficients(GroupSpec.parse("A2:sc"), 20).to_text()
+    for text in (written[:-1], written[:written.rindex("\t") + 1], written + "27"):
+        with pytest.raises(ValueError):
+            DegreeTable.from_text(text)
+
+
 def test_degree_table_roundtrip():
     table = zeta_coefficients(GroupSpec.parse("A1:adjoint"), 9)
     text = table.to_text()

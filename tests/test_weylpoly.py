@@ -45,6 +45,18 @@ def test_zero_polynomial_errors():
         ord_at_zero(zero)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: weyl_polynomial(build("A2"), (1, 0, 5), (0, 0, 7)),
+    lambda: weyl_polynomial(build("A2"), (1, 0), (0,)),
+    lambda: orthogonal_subsystem(build("B2"), (0,)),
+    lambda: weyl_orbit_equal(build("A2"), (1, 0), (1, 0, 0)),
+], ids=["polynomial_long", "polynomial_short", "orthogonal", "orbit"])
+def test_weight_of_the_wrong_length_is_refused(call):
+    # a weight whose length is not the rank is an error, never a wrong answer
+    with pytest.raises(ValueError, match="coordinates"):
+        call()
+
+
 def test_frozen_coefficients():
     assert explicit_polynomial(build("A2").id).coefficients == (0, F(1, 2), F(1, 2))
     assert explicit_polynomial(build("A3").id).coefficients == (
